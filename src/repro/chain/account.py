@@ -10,7 +10,9 @@ the rest of the library index numpy arrays by account id.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Optional
+import re
+from itertools import filterfalse
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -20,25 +22,28 @@ Address = str
 
 _ADDRESS_BYTES = 20
 
+#: A canonical address: what :func:`_normalize` returns.
+_ADDRESS = f"0x[0-9a-f]{{{_ADDRESS_BYTES * 2}}}"
+_ADDRESS_CHARS = 2 + _ADDRESS_BYTES * 2
+_ADDRESS_RE = re.compile(_ADDRESS)
+#: Comma-joined canonical addresses, so a whole batch validates in one
+#: match.
+_ADDRESS_BATCH_RE = re.compile(f"{_ADDRESS}(?:,{_ADDRESS})*")
+
 
 def _normalize(address: str) -> str:
     if not isinstance(address, str):
         raise ValidationError(f"address must be str, got {type(address).__name__}")
     addr = address.lower()
-    if addr.startswith("0x"):
-        body = addr[2:]
-    else:
-        body = addr
-        addr = "0x" + body
-    if len(body) != _ADDRESS_BYTES * 2:
-        raise ValidationError(
-            f"address must be {_ADDRESS_BYTES} bytes ({_ADDRESS_BYTES * 2} hex chars), "
-            f"got {address!r}"
-        )
-    try:
-        int(body, 16)
-    except ValueError as exc:
-        raise ValidationError(f"address is not valid hex: {address!r}") from exc
+    if not addr.startswith("0x"):
+        addr = "0x" + addr
+    if _ADDRESS_RE.fullmatch(addr) is None:
+        if len(addr) != _ADDRESS_CHARS:
+            raise ValidationError(
+                f"address must be {_ADDRESS_BYTES} bytes "
+                f"({_ADDRESS_BYTES * 2} hex chars), got {address!r}"
+            )
+        raise ValidationError(f"address is not valid hex: {address!r}")
     return addr
 
 
@@ -96,6 +101,34 @@ class AccountRegistry:
         self._id_of[addr] = account_id
         self._address_of.append(addr)
         return account_id
+
+    def intern_canonical(self, addresses: Sequence[Address]) -> np.ndarray:
+        """Ids of canonical addresses, registering the unseen ones in bulk.
+
+        ``addresses`` must already be in the form :meth:`register`
+        stores (lowercase ``0x`` plus 40 hex digits). Unseen ones are
+        validated with one match over the batch and registered in
+        first-seen order, so ids equal those of calling
+        :meth:`register` on each address in turn. If any unseen address
+        is not canonical, nothing is registered and
+        :class:`ValidationError` is raised.
+        """
+        id_of = self._id_of
+        fresh = list(filterfalse(id_of.__contains__, dict.fromkeys(addresses)))
+        if fresh:
+            joined = ",".join(fresh)
+            # The length check stops one entry passing as two joined ones.
+            if (
+                len(joined) != len(fresh) * (_ADDRESS_CHARS + 1) - 1
+                or _ADDRESS_BATCH_RE.fullmatch(joined) is None
+            ):
+                raise ValidationError("batch holds a non-canonical address")
+            start = len(self._address_of)
+            id_of.update(zip(fresh, range(start, start + len(fresh))))
+            self._address_of.extend(fresh)
+        return np.fromiter(
+            map(id_of.__getitem__, addresses), dtype=np.int64, count=len(addresses)
+        )
 
     def id_of(self, address: Address) -> int:
         """Return the id of ``address``; raise if unregistered."""

@@ -1,8 +1,8 @@
 """Arrow-backed columnar CSV decode for :class:`CsvTraceSource`.
 
-The streamed python decoder in :mod:`repro.data.source` pays an
-interpreted per-row cost (csv split, ``int``/``float`` parses, list
-appends) that dominates 1M-row ingest. This module decodes the same
+The streamed python decoder (:class:`repro.data.etl._BlockDecoder`)
+still pays interpreted per-cell ``int``/``float`` parses and address
+lookups, which dominate 1M-row ingest. This module decodes the same
 ethereum-etl files through ``pyarrow.csv``'s streaming reader instead:
 rows arrive as columnar record batches, every cell validation is a
 vectorised kernel, and only address registration touches per-row Python
@@ -356,6 +356,6 @@ def _cast_amount_column(pc, pa, column, keep, label: str) -> np.ndarray:
         )
     except Exception as exc:
         raise ArrowDecodeAnomaly(f"bad {label} column: {exc}") from exc
-    if np.isnan(amounts).any() or (amounts < 0).any():
+    if not np.isfinite(amounts).all() or (amounts < 0).any():
         raise ArrowDecodeAnomaly(f"bad {label} column")
     return amounts

@@ -43,7 +43,7 @@ from repro.data.arrow import (
     resolve_decoder,
 )
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
-from repro.data.etl import _RowDecoder
+from repro.data.etl import _BlockDecoder, _RowDecoder
 from repro.data.trace import EpochView, Trace
 from repro.errors import ConfigurationError, DataError, MalformedRowError
 
@@ -190,11 +190,18 @@ class GeneratorTraceSource(TraceSource):
 class CsvTraceSource(TraceSource):
     """Chunked, bounded-memory decode of an ethereum-etl CSV.
 
-    Rows decode straight into numpy chunks of ``chunk_rows``; at no
-    point does the decoder hold more than one chunk of Python-object
-    row state, which is what keeps 1M-row (and beyond) ingest flat in
-    memory — ``peak_buffer_rows`` records the high-water mark and is
-    asserted ``<= chunk_rows`` in tests.
+    Rows decode block-columnar (:class:`repro.data.etl._BlockDecoder`)
+    into numpy chunks of exactly ``chunk_rows`` rows: at most 4096 raw
+    lines are read at a time, never more than the current chunk has
+    room for, so the decoder never buffers more than one chunk of
+    decoded rows, which is what keeps 1M-row (and beyond) ingest flat
+    in memory — ``peak_buffer_rows`` records the high-water mark and is
+    asserted ``<= chunk_rows`` in tests. A block the columnar checks
+    cannot accept is re-decoded row by row by ``_RowDecoder``, which
+    raises the typed error at its line; a block containing ``"``
+    hands the rest of the file to the row path. ``fallback_blocks``
+    counts the blocks the last decode re-read row by row (zero on any
+    file :func:`repro.data.etl.write_transactions_csv` wrote).
 
     Streaming requires the file to be block-ordered (real ETL extracts
     are; our writer emits block order). An out-of-order row raises
@@ -215,13 +222,13 @@ class CsvTraceSource(TraceSource):
     the skipped leading zeros, so the assembled trace is identical to
     the eager read.
 
-    ``decoder`` selects the row-decode implementation: ``"python"`` is
-    the reference :class:`_RowDecoder` loop, ``"arrow"`` the columnar
-    pyarrow fast path (:mod:`repro.data.arrow`), and ``"auto"`` picks
-    arrow exactly when pyarrow is installed. Both produce bit-identical
-    chunk streams, ids, and typed errors; the arrow path falls back to
-    (or replays through) the python path whenever it meets input it
-    cannot decode verbatim, so consumers never observe a difference.
+    ``decoder`` selects the decode implementation: ``"python"`` is
+    the block decoder above, ``"arrow"`` the columnar pyarrow path
+    (:mod:`repro.data.arrow`), and ``"auto"`` picks arrow exactly when
+    pyarrow is installed. Both produce bit-identical chunk streams,
+    ids, and typed errors; the arrow path falls back to (or replays
+    through) the python path whenever it meets input it cannot decode
+    verbatim, so consumers never observe a difference.
     """
 
     def __init__(
@@ -243,6 +250,8 @@ class CsvTraceSource(TraceSource):
         self.decoder = decoder
         self.name = self.path.name
         self.peak_buffer_rows = 0
+        #: Blocks the last decode re-read row by row (see _BlockDecoder).
+        self.fallback_blocks = 0
 
     def chunks(self) -> Iterator[TransactionBatch]:
         if resolve_decoder(self.decoder) != DECODER_ARROW:
@@ -293,71 +302,15 @@ class CsvTraceSource(TraceSource):
         ) from anomaly
 
     def _python_chunks(self) -> Iterator[TransactionBatch]:
-        senders: List[int] = []
-        receivers: List[int] = []
-        blocks: List[int] = []
-        values: List[float] = []
-        fees: List[float] = []
-        # Lazy value-column activation: False until a nonzero value is
-        # decoded, so an all-zero column never materialises (see class
-        # docstring).
-        values_active = False
-
-        def flush(decoder: _RowDecoder) -> TransactionBatch:
-            batch = TransactionBatch(
-                np.asarray(senders, dtype=np.int64),
-                np.asarray(receivers, dtype=np.int64),
-                np.asarray(blocks, dtype=np.int64),
-                np.asarray(values, dtype=np.float64)
-                if values_active
-                else None,
-                np.asarray(fees, dtype=np.float64) if decoder.has_fees else None,
-            )
-            senders.clear()
-            receivers.clear()
-            blocks.clear()
-            values.clear()
-            fees.clear()
-            return batch
-
-        last_block = -1
-        with self.path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            fieldnames = next(reader, None)
-            decoder = _RowDecoder(self.path, fieldnames, self.registry)
-            has_values = decoder.has_values
-            has_fees = decoder.has_fees
-            for line, row in enumerate(reader, start=2):
-                decoded = decoder.decode(line, row)
-                if decoded is None:
-                    continue
-                sender, receiver, block, value, fee = decoded
-                if block < last_block:
-                    raise MalformedRowError(
-                        self.path,
-                        line,
-                        f"block {block} out of order after {last_block} "
-                        "(streamed decode requires block-ordered rows; "
-                        "use read_transactions_csv for unsorted files)",
-                    )
-                last_block = block
-                senders.append(sender)
-                receivers.append(receiver)
-                blocks.append(block)
-                if has_values:
-                    values.append(value)
-                    if value and not values_active:
-                        values_active = True
-                if has_fees:
-                    fees.append(fee)
-                if len(senders) >= self.chunk_rows:
-                    self.peak_buffer_rows = max(
-                        self.peak_buffer_rows, len(senders)
-                    )
-                    yield flush(decoder)
-            self.peak_buffer_rows = max(self.peak_buffer_rows, len(senders))
-            if senders:
-                yield flush(decoder)
+        decoder = _BlockDecoder(
+            self.path, self.registry, self.chunk_rows, check_order=True
+        )
+        try:
+            for chunk in decoder.chunks():
+                self.peak_buffer_rows = max(self.peak_buffer_rows, len(chunk))
+                yield chunk
+        finally:
+            self.fallback_blocks = decoder.fallback_blocks
 
     def resolved_n_accounts(self) -> Optional[int]:
         return len(self.registry) or None

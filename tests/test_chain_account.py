@@ -80,6 +80,45 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             registry.register("0x" + "zz" * 20)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "-" + "0" * 39,  # int(body, 16) takes a sign...
+            "+" + "0" * 39,
+            " " + "0" * 39,  # ...surrounding whitespace...
+            "0" * 19 + "_" + "0" * 20,  # ...and digit separators
+        ],
+    )
+    def test_rejects_what_int_parsing_would_accept(self, body):
+        registry = AccountRegistry()
+        with pytest.raises(ValidationError, match="not valid hex"):
+            registry.register("0x" + body)
+        assert len(registry) == 0
+
+    def test_intern_canonical_matches_register(self):
+        addresses = [ADDR_B, ADDR_A, ADDR_B, "0x" + "cc" * 20]
+        bulk = AccountRegistry([ADDR_A])
+        ids = bulk.intern_canonical(addresses)
+        one_by_one = AccountRegistry([ADDR_A])
+        assert ids.tolist() == [one_by_one.register(a) for a in addresses]
+        assert list(bulk) == list(one_by_one)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ADDR_A.upper(),
+            "aa" * 20,
+            " " + ADDR_B,
+            "0x" + "zz" * 20,
+            "0x" + "cc" * 20 + "," + "0x" + "dd" * 20,
+        ],
+    )
+    def test_intern_canonical_rejects_without_registering(self, bad):
+        registry = AccountRegistry([ADDR_A])
+        with pytest.raises(ValidationError):
+            registry.intern_canonical([ADDR_B, bad])
+        assert list(registry) == [ADDR_A]
+
     def test_rejects_wrong_length(self):
         registry = AccountRegistry()
         with pytest.raises(ValidationError):

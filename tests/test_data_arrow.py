@@ -170,8 +170,9 @@ class TestErrorFixturesPythonPath:
             [f"0x0,1,{ADDR_A},0x1234,5.0"],
         )
         for decoder in ("python", "auto"):
-            with pytest.raises(ValidationError):
+            with pytest.raises(MalformedRowError, match=r"addr\.csv:2: ") as info:
                 list(CsvTraceSource(path, decoder=decoder).chunks())
+            assert isinstance(info.value.__cause__, ValidationError)
 
     def test_negative_value_names_line(self, tmp_path):
         path = write_csv(

@@ -217,6 +217,12 @@ class TestMalformedRows:
         with pytest.raises(MalformedRowError, match="block_number"):
             read_transactions_csv(path)
 
+    def test_block_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + f"0x0,{2**63},{self.A},{self.B},0\n")
+        with pytest.raises(MalformedRowError, match=r"bad\.csv:2: .*exceeds int64"):
+            read_transactions_csv(path)
+
     def test_bad_value_carries_file_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(self.HEADER + f"0x0,1,{self.A},{self.B},tomato\n")
