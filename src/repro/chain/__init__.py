@@ -35,7 +35,7 @@ from repro.chain.netsim import (
 )
 from repro.chain.state import (
     AccountState,
-    DenseShardStateStore,
+    ArenaShardStateStore,
     ResidencyIndex,
     ShardStateStore,
     SlotDirectory,
@@ -91,7 +91,7 @@ __all__ = [
     "RetryPolicy",
     "network_spec",
     "AccountState",
-    "DenseShardStateStore",
+    "ArenaShardStateStore",
     "ResidencyIndex",
     "ShardStateStore",
     "SlotDirectory",

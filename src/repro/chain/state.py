@@ -7,37 +7,30 @@ reconfiguration moves account state between stores (the migration
 traffic the paper accounts for), and the cross-shard executor
 (:mod:`repro.chain.crossshard`) debits and credits across stores.
 
-Three interchangeable backends implement the store contract:
+Two interchangeable backends implement the store contract:
 
 * :class:`ShardStateStore` — the scalar-dict backend: balances and
   nonces in two parallel dicts. Robust for sparse/arbitrary account
-  ids; the default.
+  ids; the default, and the oracle the dense store is pinned against.
 * :class:`ArenaShardStateStore` — the dense-array backend behind
-  ``backend="dense"``: size-classed per-shard arena columns. A
-  :class:`SlotDirectory` shared by all stores of a registry maps each
-  global account id to its *home* shard and a local column slot, so a
-  shard's columns are sized to its own population instead of the whole
-  account universe (k-fold less memory than full-universe columns).
-  Columns are carved into fixed-size arenas with per-arena free lists
-  and occupancy counters, so compaction re-slots only sparse arenas
-  instead of whole columns, and a pluggable :class:`ColumnSchema` lets
-  accounts carry auxiliary payload words (multi-asset balances,
-  contract storage) in wider size classes. Ids beyond the directory
-  capacity — and the rare account whose state is resident on a shard
-  other than its home — spill into a fallback dict so sparse
-  stragglers stay correct.
-* :class:`DenseShardStateStore` — the previous single-class first-fit
-  free-list layout, kept behind ``backend="dense-ref"`` as the
-  property-pinned reference allocator for the arena store.
+  ``backend="dense"``. A :class:`SlotDirectory` shared by all stores of
+  a registry maps each global account id to its *home* shard and a
+  local column slot, so a shard's columns are sized to its own
+  population instead of the whole account universe (k-fold less memory
+  than full-universe columns). Columns are carved into fixed-size
+  arenas with per-arena free lists and occupancy counters, so
+  compaction re-slots only sparse arenas instead of whole columns. Ids
+  beyond the directory capacity — and the rare account whose state is
+  resident on a shard other than its home — spill into a fallback dict
+  so sparse stragglers stay correct.
 
 :class:`StateRegistry` selects the backend (``backend="dict"`` /
-``"dense"`` / ``"dense-ref"``) and guarantees all produce identical
-observable state — same state roots, balances and nonces — which the
-backend-equivalence property suites pin down. The registry also
-maintains a :class:`ResidencyIndex` (account -> holding shards,
-incremental per mutation) so ``locate`` is O(1) instead of an O(k)
-scan over the stores; ``locate_scan`` keeps the scan as the
-equivalence reference.
+``"dense"``) and guarantees both produce identical observable state —
+same state roots, balances and nonces — which the backend-equivalence
+property suites pin down. The registry also maintains a
+:class:`ResidencyIndex` (account -> holding shards, incremental per
+mutation) so ``locate`` is O(1) instead of an O(k) scan over the
+stores.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,93 +57,18 @@ STATE_RECORD_BYTES = 128
 #: State-store backend names accepted by :class:`StateRegistry`.
 BACKEND_DICT = "dict"
 BACKEND_DENSE = "dense"
-BACKEND_DENSE_REF = "dense-ref"
-STATE_BACKENDS = (BACKEND_DICT, BACKEND_DENSE, BACKEND_DENSE_REF)
+STATE_BACKENDS = (BACKEND_DICT, BACKEND_DENSE)
 
 #: Rows per arena extent in :class:`ArenaShardStateStore`. A power of
 #: two so arena ids are a shift of the local slot.
 ARENA_EXTENT_ROWS = 1024
 
+#: Arenas whose live fraction falls strictly below this are compaction
+#: victims in :meth:`ArenaShardStateStore.compact`.
+ARENA_COMPACT_OCCUPANCY = 0.5
 
-@dataclass(frozen=True)
-class SizeClass:
-    """One payload size class: balance + nonce plus ``aux_words`` f64 words."""
-
-    name: str
-    aux_words: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("size class name must be non-empty")
-        if self.aux_words < 0:
-            raise ValidationError(
-                f"aux_words must be >= 0, got {self.aux_words}"
-            )
-
-    @property
-    def row_nbytes(self) -> int:
-        """Physical column bytes per slot (balance, nonce, owner, aux)."""
-        return 8 + 8 + 8 + 8 * self.aux_words
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Payload layout for the arena backend: ordered size classes.
-
-    The first class is the *base* class (balance + nonce only, zero aux
-    words) every account starts in; further classes carry progressively
-    wider auxiliary payloads (multi-asset balances, contract storage
-    words). :meth:`class_for` picks the smallest class covering a
-    requested aux width; accounts promote (never demote) when
-    ``put_aux`` outgrows their current class. Aux payloads are opt-in
-    scenario state and deliberately excluded from state roots, so every
-    backend hashes to the same root regardless of schema.
-    """
-
-    classes: Tuple[SizeClass, ...] = (SizeClass("base", 0),)
-
-    def __post_init__(self) -> None:
-        if not self.classes:
-            raise ValidationError("schema needs at least one size class")
-        if self.classes[0].aux_words != 0:
-            raise ValidationError(
-                "the first (base) size class must have aux_words == 0"
-            )
-        widths = [cls.aux_words for cls in self.classes]
-        if any(b <= a for a, b in zip(widths, widths[1:])):
-            raise ValidationError(
-                "size classes must have strictly increasing aux_words"
-            )
-        names = [cls.name for cls in self.classes]
-        if len(set(names)) != len(names):
-            raise ValidationError("size class names must be unique")
-
-    @classmethod
-    def base(cls) -> "ColumnSchema":
-        """The default single-class schema (balance + nonce only)."""
-        return cls()
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.classes)
-
-    @property
-    def has_aux(self) -> bool:
-        return len(self.classes) > 1
-
-    def class_for(self, aux_words: int) -> int:
-        """Index of the smallest class covering ``aux_words``."""
-        if aux_words < 0:
-            raise ValidationError(
-                f"aux_words must be >= 0, got {aux_words}"
-            )
-        for i, size_class in enumerate(self.classes):
-            if size_class.aux_words >= aux_words:
-                return i
-        raise ValidationError(
-            f"no size class covers aux_words={aux_words} "
-            f"(widest is {self.classes[-1].aux_words})"
-        )
+#: Physical column bytes per arena slot: balance, nonce and owner words.
+ARENA_ROW_BYTES = 8 + 8 + 8
 
 
 @dataclass(frozen=True)
@@ -216,9 +134,10 @@ class ResidencyIndex:
     An account *can* be resident on more than one shard (a relay
     settlement can credit a shard the account has since migrated away
     from); the index then reports the lowest holding shard id — exactly
-    what the O(k) store scan (:meth:`StateRegistry.locate_scan`)
-    returns, which the equivalence property suite pins (including at
-    k = 80, where the old single-int64 layout could not index at all).
+    what an O(k) scan over the stores in shard order returns, which the
+    equivalence property suite pins against the scan oracle in
+    ``tests/oracles/`` (including at k = 80, where the old single-int64
+    layout could not index at all).
     """
 
     __slots__ = ("capacity", "n_shards", "n_words", "_mask", "_extra")
@@ -336,7 +255,6 @@ class ShardStateStore:
         self.shard_id = shard_id
         self._balances: Dict[int, float] = {}
         self._nonces: Dict[int, int] = {}
-        self._aux: Dict[int, np.ndarray] = {}
         self._index = index
 
     def __len__(self) -> int:
@@ -401,7 +319,6 @@ class ShardStateStore:
             ) from None
         if self._index is not None:
             self._index.discard(self.shard_id, account)
-        self._aux.pop(account, None)
         return AccountState(balance=balance, nonce=self._nonces.pop(account))
 
     # -- columnar bulk access (batched executor hot path) ----------------------
@@ -518,6 +435,10 @@ class ShardStateStore:
         """Vacated-but-unreleased slots (0: dicts shrink themselves)."""
         return 0
 
+    def rehomeable_extras(self) -> int:
+        """Spill entries :meth:`compact` could re-home (0: no spill)."""
+        return 0
+
     def compact(self) -> int:
         """No-op for the dict backend; returns bytes reclaimed (0)."""
         self.last_compact_moved_bytes = 0
@@ -534,25 +455,6 @@ class ShardStateStore:
             "free_slots": 0,
             "live_slots": len(self._balances),
         }
-
-    # -- auxiliary payload words (opt-in multi-asset / storage state) -----------
-
-    def put_aux(self, account: int, values: Sequence[float]) -> None:
-        """Attach auxiliary payload words (excluded from state roots)."""
-        values = np.asarray(values, dtype=np.float64)
-        if len(values):
-            self._aux[account] = values.copy()
-
-    def aux_of(self, account: int) -> np.ndarray:
-        """Current aux payload of ``account`` (empty when never set)."""
-        payload = self._aux.get(account)
-        if payload is None:
-            return np.zeros(0, dtype=np.float64)
-        return payload.copy()
-
-    def take_aux(self, account: int) -> Optional[np.ndarray]:
-        """Detach and return the aux payload (None when absent)."""
-        return self._aux.pop(account, None)
 
 
 class SlotDirectory:
@@ -578,18 +480,31 @@ class SlotDirectory:
         return int(self.home.nbytes + self.slot.nbytes)
 
 
-class DenseShardStateStore:
-    """Dense-array backend: compacted per-shard state columns.
+class ArenaShardStateStore:
+    """Dense-array backend: extent-granular per-shard state columns.
 
     Balances and nonces live in numpy columns sized to this shard's own
-    population; the shared :class:`SlotDirectory` translates global
+    population, next to an ``owner`` reverse map (slot -> account,
+    ``-1`` free); the shared :class:`SlotDirectory` translates global
     account ids to local column slots (``home[a] == shard_id`` marks
-    membership). Columns grow by doubling as accounts arrive; slots
-    vacated by migration are recycled through a free list. The batched
-    executor's gather/scatter entry points stay single fancy-indexing
-    operations (one extra slot indirection versus full-universe
-    columns), which is what lets the executor microbench scale past 1M
-    accounts without allocating ``k x n_accounts`` cells.
+    membership). The columns are carved into fixed
+    :data:`ARENA_EXTENT_ROWS`-slot **arenas**: every arena keeps its own
+    free list and live count, allocation fills the lowest arena with
+    free slots (a lazy min-heap tracks them), and columns grow by whole
+    extents. The batched executor's gather/scatter entry points stay
+    single fancy-indexing operations (one slot indirection versus
+    full-universe columns), which is what lets the executor microbench
+    scale past 1M accounts without allocating ``k x n_accounts`` cells.
+
+    The payoff is in :meth:`compact`: instead of rewriting whole
+    columns, compaction re-slots only arenas whose occupancy fell below
+    :data:`ARENA_COMPACT_OCCUPANCY` (their rows move into free slots of
+    denser arenas, found in O(victim rows) through the owner map), then
+    truncates trailing all-empty extents. Work per pass is bounded by
+    the sparse arenas' population, not the live population, which is
+    what keeps the ``EpochReconfigurator(compact_slack=...)`` seam cheap
+    under adversarial churn; interior empty arenas stay mapped and are
+    the first allocation targets.
 
     Account ids at or above the directory capacity — and accounts whose
     state is resident here while their *home* columns live on another
@@ -597,8 +512,9 @@ class DenseShardStateStore:
     pair with the scalar-dict semantics.
 
     Observable behaviour — balances, nonces, membership, state roots,
-    error cases — is identical to :class:`ShardStateStore`; the
-    backend-equivalence property suite asserts it.
+    error cases, spill semantics — is identical to
+    :class:`ShardStateStore`; the backend-equivalence property suites
+    pin it.
     """
 
     def __init__(
@@ -618,63 +534,129 @@ class DenseShardStateStore:
         self._index = index
         self._bal = np.zeros(0, dtype=np.float64)
         self._non = np.zeros(0, dtype=np.int64)
-        self._used = 0
-        self._free: List[int] = []
+        self._owner = np.zeros(0, dtype=np.int64)
+        # One free list + live counter per arena, plus a lazy min-heap
+        # of arena ids that may have free slots.
+        self._arena_free: List[List[int]] = []
+        self._arena_live: List[int] = []
+        self._free_heap: List[int] = []
         self._count = 0
         # Fallback for ids >= capacity and off-home residents.
         self._extra_bal: Dict[int, float] = {}
         self._extra_non: Dict[int, int] = {}
-        # Aux payloads stay in a side dict: this is the single-class
-        # reference backend, size-classed columns live in the arena store.
-        self._aux: Dict[int, np.ndarray] = {}
         self.last_compact_moved_bytes = 0
 
     # -- slot plumbing ----------------------------------------------------------
 
-    def _grow_columns(self, n_slots: int) -> None:
-        if n_slots <= len(self._bal):
-            return
-        new_capacity = max(16, len(self._bal))
-        while new_capacity < n_slots:
-            new_capacity *= 2
-        for name in ("_bal", "_non"):
+    def _grow_extents(self, n_new: int) -> None:
+        """Append ``n_new`` fresh all-free extents."""
+        old_extents = len(self._arena_live)
+        extent = ARENA_EXTENT_ROWS
+        new_rows = (old_extents + n_new) * extent
+        for name in ("_bal", "_non", "_owner"):
             column = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=column.dtype)
-            grown[: self._used] = column[: self._used]
+            grown = np.zeros(new_rows, dtype=column.dtype)
+            grown[: len(column)] = column
             setattr(self, name, grown)
+        self._owner[old_extents * extent :] = -1
+        for arena in range(old_extents, old_extents + n_new):
+            start = arena * extent
+            # Descending, so pop() hands out the lowest slot first.
+            self._arena_free.append(
+                list(range(start + extent - 1, start - 1, -1))
+            )
+            self._arena_live.append(0)
+            heapq.heappush(self._free_heap, arena)
+
+    def _alloc_local(self) -> int:
+        """Claim one free slot in the lowest arena that has one."""
+        frees = self._arena_free
+        heap = self._free_heap
+        while heap and not frees[heap[0]]:
+            heapq.heappop(heap)
+        if not heap:
+            self._grow_extents(1)
+        arena = heap[0]
+        local = frees[arena].pop()
+        self._arena_live[arena] += 1
+        return local
+
+    def _alloc_locals_bulk(self, n_slots: int) -> np.ndarray:
+        """Claim ``n_slots`` free slots, lowest arenas first."""
+        out = np.empty(n_slots, dtype=np.int64)
+        filled = 0
+        frees = self._arena_free
+        heap = self._free_heap
+        live = self._arena_live
+        extent = ARENA_EXTENT_ROWS
+        while filled < n_slots:
+            while heap and not frees[heap[0]]:
+                heapq.heappop(heap)
+            if not heap:
+                remaining = n_slots - filled
+                self._grow_extents((remaining + extent - 1) // extent)
+                continue
+            arena = heap[0]
+            free_list = frees[arena]
+            take = min(len(free_list), n_slots - filled)
+            out[filled : filled + take] = free_list[-take:][::-1]
+            del free_list[-take:]
+            live[arena] += take
+            filled += take
+        return out
+
+    def _release_local(self, local: int) -> None:
+        """Zero one slot and return it to its arena's free list."""
+        arena = local // ARENA_EXTENT_ROWS
+        self._bal[local] = 0.0
+        self._non[local] = 0
+        self._owner[local] = -1
+        free_list = self._arena_free[arena]
+        if not free_list:
+            heapq.heappush(self._free_heap, arena)
+        free_list.append(local)
+        self._arena_live[arena] -= 1
+
+    def _release_locals_bulk(self, slots: np.ndarray) -> None:
+        """Zero many slots and return them to their arenas' free lists."""
+        self._bal[slots] = 0.0
+        self._non[slots] = 0
+        self._owner[slots] = -1
+        arenas = slots // ARENA_EXTENT_ROWS
+        order = np.argsort(arenas, kind="stable")
+        ordered_slots = slots[order]
+        ordered_arenas = arenas[order]
+        boundaries = np.flatnonzero(np.diff(ordered_arenas) != 0) + 1
+        starts = np.concatenate(([0], boundaries))
+        stops = np.concatenate((boundaries, [len(ordered_slots)]))
+        frees = self._arena_free
+        live = self._arena_live
+        for start, stop in zip(starts.tolist(), stops.tolist()):
+            arena = int(ordered_arenas[start])
+            free_list = frees[arena]
+            if not free_list:
+                heapq.heappush(self._free_heap, arena)
+            free_list.extend(ordered_slots[start:stop][::-1].tolist())
+            live[arena] -= stop - start
 
     def _alloc_slot(self, account: int) -> int:
         """Claim a zeroed column slot for ``account`` (makes it home)."""
-        if self._free:
-            slot = self._free.pop()
-        else:
-            slot = self._used
-            self._grow_columns(slot + 1)
-            self._used += 1
+        local = self._alloc_local()
+        self._owner[local] = account
         self._dir.home[account] = self.shard_id
-        self._dir.slot[account] = slot
+        self._dir.slot[account] = local
         self._count += 1
         if self._index is not None:
             self._index.add(self.shard_id, account)
-        return slot
+        return local
 
     def _alloc_slots_bulk(self, accounts: np.ndarray) -> None:
         """Claim slots for many distinct new accounts at once."""
         n_new = len(accounts)
         if n_new == 0:
             return
-        slots = np.empty(n_new, dtype=np.int64)
-        n_recycled = min(len(self._free), n_new)
-        if n_recycled:
-            slots[:n_recycled] = self._free[len(self._free) - n_recycled :]
-            del self._free[len(self._free) - n_recycled :]
-        n_fresh = n_new - n_recycled
-        if n_fresh:
-            self._grow_columns(self._used + n_fresh)
-            slots[n_recycled:] = np.arange(
-                self._used, self._used + n_fresh, dtype=np.int64
-            )
-            self._used += n_fresh
+        slots = self._alloc_locals_bulk(n_new)
+        self._owner[slots] = accounts
         self._dir.home[accounts] = self.shard_id
         self._dir.slot[accounts] = slots
         self._count += n_new
@@ -682,10 +664,7 @@ class DenseShardStateStore:
             self._index.add_many(self.shard_id, accounts)
 
     def _free_slot(self, account: int) -> None:
-        slot = int(self._dir.slot[account])
-        self._bal[slot] = 0.0
-        self._non[slot] = 0
-        self._free.append(slot)
+        self._release_local(int(self._dir.slot[account]))
         self._dir.home[account] = -1
         self._count -= 1
         if self._index is not None:
@@ -747,15 +726,13 @@ class DenseShardStateStore:
             raise ValidationError(f"account must be >= 0, got {account}")
         if self._is_home(account):
             slot = self._dir.slot[account]
-            self._bal[slot] = state.balance
-            self._non[slot] = state.nonce
-            return
-        if self._can_claim(account):
+        elif self._can_claim(account):
             slot = self._alloc_slot(account)
-            self._bal[slot] = state.balance
-            self._non[slot] = state.nonce
+        else:
+            self._put_extra(account, state.balance, state.nonce)
             return
-        self._put_extra(account, state.balance, state.nonce)
+        self._bal[slot] = state.balance
+        self._non[slot] = state.nonce
 
     def credit(self, account: int, amount: float) -> AccountState:
         """Add funds (creating the account on first touch)."""
@@ -811,7 +788,6 @@ class DenseShardStateStore:
                 balance=float(self._bal[slot]), nonce=int(self._non[slot])
             )
             self._free_slot(account)
-            self._aux.pop(account, None)
             return state
         try:
             balance = self._extra_bal.pop(account)
@@ -822,7 +798,6 @@ class DenseShardStateStore:
         self._count -= 1
         if self._index is not None:
             self._index.discard(self.shard_id, account)
-        self._aux.pop(account, None)
         return AccountState(balance=balance, nonce=self._extra_non.pop(account))
 
     # -- columnar bulk access (batched executor hot path) ----------------------
@@ -854,6 +829,22 @@ class DenseShardStateStore:
             count=len(accounts),
         )
 
+    def _bulk_slots(self, accounts: np.ndarray) -> Optional[np.ndarray]:
+        """Home slots of ``accounts``, claiming slots for new ones.
+
+        None when the pure-columnar path does not apply (spilled or
+        off-home accounts in play); callers then take the scalar loop.
+        """
+        if not self._fast_bulk_ok(accounts):
+            return None
+        home = self._dir.home[accounts]
+        new = home == -1
+        if not (new | (home == self.shard_id)).all():
+            return None
+        if new.any():
+            self._alloc_slots_bulk(np.unique(accounts[new]))
+        return self._dir.slot[accounts]
+
     def write_back(
         self,
         accounts: np.ndarray,
@@ -861,16 +852,11 @@ class DenseShardStateStore:
         nonce_bumps: np.ndarray,
     ) -> None:
         """Scatter updated balances (and nonce increments) back."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                slots = self._dir.slot[accounts]
-                self._bal[slots] = balances
-                np.add.at(self._non, slots, nonce_bumps)
-                return
+        slots = self._bulk_slots(accounts)
+        if slots is not None:
+            self._bal[slots] = balances
+            np.add.at(self._non, slots, nonce_bumps)
+            return
         for account, balance, bump in zip(
             accounts.tolist(), balances.tolist(), nonce_bumps.tolist()
         ):
@@ -891,16 +877,12 @@ class DenseShardStateStore:
 
     def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
         """Apply a stream of credits in order (settlement scatter)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                # np.add.at applies duplicate indices sequentially,
-                # matching the dict backend's in-order accumulation.
-                np.add.at(self._bal, self._dir.slot[accounts], amounts)
-                return
+        slots = self._bulk_slots(accounts)
+        if slots is not None:
+            # np.add.at applies duplicate indices sequentially,
+            # matching the dict backend's in-order accumulation.
+            np.add.at(self._bal, slots, amounts)
+            return
         for account, amount in zip(accounts.tolist(), amounts.tolist()):
             self.credit(account, float(amount))
 
@@ -916,9 +898,7 @@ class DenseShardStateStore:
                 slots = self._dir.slot[accounts]
                 balances = self._bal[slots].copy()
                 nonces = self._non[slots].copy()
-                self._bal[slots] = 0.0
-                self._non[slots] = 0
-                self._free.extend(slots.tolist())
+                self._release_locals_bulk(slots)
                 self._dir.home[accounts] = -1
                 self._count -= len(accounts)
                 if self._index is not None:
@@ -940,33 +920,33 @@ class DenseShardStateStore:
         nonces: np.ndarray,
     ) -> None:
         """Install state rows in bulk (the columnar twin of ``put``)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                slots = self._dir.slot[accounts]
-                self._bal[slots] = balances
-                self._non[slots] = nonces
-                return
+        slots = self._bulk_slots(accounts)
+        if slots is not None:
+            self._bal[slots] = balances
+            self._non[slots] = nonces
+            return
         for account, balance, nonce in zip(
             accounts.tolist(), balances.tolist(), nonces.tolist()
         ):
             if self._is_home(account):
                 slot = self._dir.slot[account]
-                self._bal[slot] = balance
-                self._non[slot] = nonce
             elif self._can_claim(account):
                 slot = self._alloc_slot(account)
-                self._bal[slot] = balance
-                self._non[slot] = nonce
             else:
                 self._put_extra(account, balance, int(nonce))
+                continue
+            self._bal[slot] = balance
+            self._non[slot] = nonce
+
+    # -- accounting, telemetry and compaction -----------------------------------
 
     def total_balance(self) -> float:
-        """Sum of resident balances (float64 pairwise ``np.sum``)."""
-        dense = float(np.sum(self._bal[: self._used], dtype=np.float64))
+        """Sum of resident balances (float64 pairwise ``np.sum``).
+
+        Freed slots are zeroed eagerly, so summing the whole column is
+        exact for the integral-valued conservation suites.
+        """
+        dense = float(np.sum(self._bal, dtype=np.float64))
         if not self._extra_bal:
             return dense
         return math.fsum([dense, *self._extra_bal.values()])
@@ -995,829 +975,15 @@ class DenseShardStateStore:
 
     def column_nbytes(self) -> int:
         """Bytes held by this store's state columns."""
-        return int(self._bal.nbytes + self._non.nbytes)
+        return int(self._bal.nbytes + self._non.nbytes + self._owner.nbytes)
 
     def slack_slots(self) -> int:
-        """Slots vacated by migration but still held by the columns."""
-        return len(self._free)
-
-    def arena_stats(self) -> Dict[str, float]:
-        """Allocator telemetry for the first-fit free-list layout.
-
-        No arenas: the whole column is one allocation region, so
-        ``free_slots`` is the free list plus the unallocated tail and
-        fragmentation is measured against the full column capacity.
-        """
-        capacity = len(self._bal)
-        live = self._count - len(self._extra_bal)
-        return {
-            "arenas": 0,
-            "capacity_slots": capacity,
-            "free_slots": capacity - live,
-            "live_slots": live,
-        }
-
-    def rehomeable_extras(self) -> int:
-        """Spill-dict entries that :meth:`compact` could re-home now.
-
-        O(spill size); lets :meth:`StateRegistry.compact_stores`
-        trigger a compaction for stranded spill entries even when the
-        free list alone would not cross the slack threshold.
-        """
-        if not self._extra_bal:
-            return 0
-        return sum(
-            1
-            for account in self._extra_bal
-            if 0 <= account < self.capacity
-            and self._dir.home[account] == -1
-        )
-
-    def _rehome_extras(self) -> int:
-        """Re-slot spilled accounts that may claim a home slot again.
-
-        A relay settlement can credit an account here while its home
-        columns live elsewhere; once the other shard removes it, the
-        spill entry is the only residency left — in capacity, homed
-        nowhere — yet it would stay in the fallback dict forever.
-        Compaction re-homes those entries into fresh column slots.
-        Ids beyond the directory capacity and genuinely off-home
-        residents stay spilled (they have no legal slot here).
-        """
-        if not self._extra_bal:
-            return 0
-        eligible = [
-            account
-            for account in self._extra_bal
-            if 0 <= account < self.capacity
-            and self._dir.home[account] == -1
-        ]
-        for account in eligible:
-            balance = self._extra_bal.pop(account)
-            nonce = self._extra_non.pop(account)
-            # _alloc_slot re-adds the membership this spill entry held.
-            self._count -= 1
-            if self._index is not None:
-                self._index.discard(self.shard_id, account)
-            slot = self._alloc_slot(account)
-            self._bal[slot] = balance
-            self._non[slot] = nonce
-        return len(eligible)
-
-    def compact(self) -> int:
-        """Re-slot resident accounts into fresh right-sized columns.
-
-        Migration churn vacates slots faster than new arrivals reclaim
-        them: the free list grows and the columns never shrink. This
-        pass rebuilds the columns at the smallest power-of-two capacity
-        covering the live population (slot order preserved, so state
-        roots and iteration order are untouched), clears the free list
-        and rewrites the directory's slots. Eligible spill-dict entries
-        are re-homed into fresh slots first (see :meth:`_rehome_extras`).
-        Returns the column bytes reclaimed. O(live accounts) — callers
-        gate it behind a slack threshold (see
-        :meth:`StateRegistry.compact_stores`).
-        """
-        before = self.column_nbytes()
-        self._rehome_extras()
-        resident = np.flatnonzero(self._dir.home == self.shard_id)
-        count = len(resident)
-        old_slots = None
-        if count:
-            old_slots = self._dir.slot[resident]
-            order = np.argsort(old_slots, kind="stable")
-            resident = resident[order]
-            old_slots = old_slots[order]
-        new_capacity = 0
-        if count:
-            new_capacity = 16
-            while new_capacity < count:
-                new_capacity *= 2
-        new_bal = np.zeros(new_capacity, dtype=np.float64)
-        new_non = np.zeros(new_capacity, dtype=np.int64)
-        if count:
-            new_bal[:count] = self._bal[old_slots]
-            new_non[:count] = self._non[old_slots]
-            self._dir.slot[resident] = np.arange(count, dtype=np.int64)
-        self._bal = new_bal
-        self._non = new_non
-        self._used = count
-        self._free = []
-        # First-fit compaction rewrites every live row (bal + nonce).
-        self.last_compact_moved_bytes = count * 16
-        return before - self.column_nbytes()
-
-    # -- auxiliary payload words (opt-in multi-asset / storage state) -----------
-
-    def put_aux(self, account: int, values: Sequence[float]) -> None:
-        """Attach auxiliary payload words (excluded from state roots)."""
-        values = np.asarray(values, dtype=np.float64)
-        if len(values):
-            self._aux[account] = values.copy()
-
-    def aux_of(self, account: int) -> np.ndarray:
-        """Current aux payload of ``account`` (empty when never set)."""
-        payload = self._aux.get(account)
-        if payload is None:
-            return np.zeros(0, dtype=np.float64)
-        return payload.copy()
-
-    def take_aux(self, account: int) -> Optional[np.ndarray]:
-        """Detach and return the aux payload (None when absent)."""
-        return self._aux.pop(account, None)
-
-
-#: Bits reserved for the local slot in a directory entry; the size
-#: class lives in the bits above (only used by multi-class schemas —
-#: single-class directories store raw local slots).
-_CLS_SHIFT = 48
-_LOCAL_MASK = (1 << _CLS_SHIFT) - 1
-
-
-class ArenaShardStateStore:
-    """Size-classed arena backend: extent-granular per-shard columns.
-
-    The drop-in successor to :class:`DenseShardStateStore` (kept as the
-    property-pinned ``"dense-ref"`` reference). State lives in one
-    column set *per size class* of the :class:`ColumnSchema` — balance,
-    nonce, an ``owner`` reverse map (slot -> account, ``-1`` free) and,
-    for classes beyond the base, a 2-D aux payload block. Each column
-    set is carved into fixed :data:`ARENA_EXTENT_ROWS`-slot **arenas**:
-    every arena keeps its own free list and live count, allocation
-    fills the lowest arena with free slots (a lazy min-heap tracks
-    them), and columns grow by whole extents.
-
-    The payoff is in :meth:`compact`: instead of rewriting whole
-    columns, compaction is a *policy* — re-slot only arenas whose
-    occupancy fell below ``compact_occupancy`` (their rows move into
-    free slots of denser arenas, found in O(victim rows) through the
-    owner map), then truncate trailing all-empty extents. Work per
-    pass is bounded by the sparse arenas' population, not the live
-    population, which is what keeps the
-    ``EpochReconfigurator(compact_slack=...)`` seam cheap under
-    adversarial churn; interior empty arenas stay mapped and are the
-    first allocation targets.
-
-    Observable behaviour — balances, nonces, membership, state roots,
-    error cases, spill semantics — is identical to both other
-    backends; the arena equivalence property suite pins it. Aux
-    payload words are opt-in scenario state excluded from state roots.
-    With the default single-class schema the directory stores raw
-    local slots and every bulk entry point keeps the single
-    fancy-indexing gather/scatter of the dense reference; multi-class
-    schemas encode the class in the slot's high bits and take the
-    scalar paths.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        capacity: int,
-        directory: Optional[SlotDirectory] = None,
-        index: Optional[ResidencyIndex] = None,
-        schema: Optional[ColumnSchema] = None,
-        compact_occupancy: float = 0.5,
-    ) -> None:
-        if shard_id < 0:
-            raise ValidationError(f"shard_id must be >= 0, got {shard_id}")
-        if capacity < 0:
-            raise ValidationError(f"capacity must be >= 0, got {capacity}")
-        if not 0.0 <= compact_occupancy <= 1.0:
-            raise ValidationError(
-                f"compact_occupancy must be in [0, 1], got {compact_occupancy}"
-            )
-        self.shard_id = shard_id
-        self.capacity = int(capacity)
-        self.compact_occupancy = float(compact_occupancy)
-        self._schema = schema if schema is not None else ColumnSchema.base()
-        self._classes = self._schema.classes
-        self._multiclass = self._schema.has_aux
-        self._dir = directory if directory is not None else SlotDirectory(capacity)
-        self._index = index
-        n_classes = len(self._classes)
-        self._bal: List[np.ndarray] = [
-            np.zeros(0, dtype=np.float64) for _ in range(n_classes)
-        ]
-        self._non: List[np.ndarray] = [
-            np.zeros(0, dtype=np.int64) for _ in range(n_classes)
-        ]
-        self._owner: List[np.ndarray] = [
-            np.zeros(0, dtype=np.int64) for _ in range(n_classes)
-        ]
-        self._auxcol: List[Optional[np.ndarray]] = [
-            np.zeros((0, cls.aux_words), dtype=np.float64)
-            if cls.aux_words
-            else None
-            for cls in self._classes
-        ]
-        # Per class: one free list + live counter per arena, plus a lazy
-        # min-heap of arena ids that may have free slots.
-        self._arena_free: List[List[List[int]]] = [[] for _ in range(n_classes)]
-        self._arena_live: List[List[int]] = [[] for _ in range(n_classes)]
-        self._free_heap: List[List[int]] = [[] for _ in range(n_classes)]
-        self._count = 0
-        # Fallback for ids >= capacity and off-home residents.
-        self._extra_bal: Dict[int, float] = {}
-        self._extra_non: Dict[int, int] = {}
-        self._extra_aux: Dict[int, np.ndarray] = {}
-        self.last_compact_moved_bytes = 0
-
-    @property
-    def schema(self) -> ColumnSchema:
-        return self._schema
-
-    # -- slot plumbing ----------------------------------------------------------
-
-    def _encode(self, cls: int, local: int) -> int:
-        if not self._multiclass:
-            return local
-        return (cls << _CLS_SHIFT) | local
-
-    def _decode(self, encoded: int) -> Tuple[int, int]:
-        if not self._multiclass:
-            return 0, encoded
-        return encoded >> _CLS_SHIFT, encoded & _LOCAL_MASK
-
-    def _grow_extents(self, cls: int, n_new: int) -> None:
-        """Append ``n_new`` fresh all-free extents to class ``cls``."""
-        old_extents = len(self._arena_live[cls])
-        extent = ARENA_EXTENT_ROWS
-        new_rows = (old_extents + n_new) * extent
-        for columns in (self._bal, self._non, self._owner):
-            column = columns[cls]
-            grown = np.zeros(new_rows, dtype=column.dtype)
-            grown[: len(column)] = column
-            columns[cls] = grown
-        self._owner[cls][old_extents * extent :] = -1
-        aux = self._auxcol[cls]
-        if aux is not None:
-            grown_aux = np.zeros((new_rows, aux.shape[1]), dtype=np.float64)
-            grown_aux[: len(aux)] = aux
-            self._auxcol[cls] = grown_aux
-        for arena in range(old_extents, old_extents + n_new):
-            start = arena * extent
-            # Descending, so pop() hands out the lowest slot first.
-            self._arena_free[cls].append(
-                list(range(start + extent - 1, start - 1, -1))
-            )
-            self._arena_live[cls].append(0)
-            heapq.heappush(self._free_heap[cls], arena)
-
-    def _alloc_local(self, cls: int) -> int:
-        """Claim one free slot in the lowest arena that has one."""
-        frees = self._arena_free[cls]
-        heap = self._free_heap[cls]
-        while heap and not frees[heap[0]]:
-            heapq.heappop(heap)
-        if not heap:
-            self._grow_extents(cls, 1)
-        arena = heap[0]
-        local = frees[arena].pop()
-        self._arena_live[cls][arena] += 1
-        return local
-
-    def _alloc_locals_bulk(self, cls: int, n_slots: int) -> np.ndarray:
-        """Claim ``n_slots`` free slots, lowest arenas first."""
-        out = np.empty(n_slots, dtype=np.int64)
-        filled = 0
-        frees = self._arena_free[cls]
-        heap = self._free_heap[cls]
-        live = self._arena_live[cls]
-        extent = ARENA_EXTENT_ROWS
-        while filled < n_slots:
-            while heap and not frees[heap[0]]:
-                heapq.heappop(heap)
-            if not heap:
-                remaining = n_slots - filled
-                self._grow_extents(cls, (remaining + extent - 1) // extent)
-                continue
-            arena = heap[0]
-            free_list = frees[arena]
-            take = min(len(free_list), n_slots - filled)
-            out[filled : filled + take] = free_list[-take:][::-1]
-            del free_list[-take:]
-            live[arena] += take
-            filled += take
-        return out
-
-    def _release_local(self, cls: int, local: int) -> None:
-        """Zero one slot and return it to its arena's free list."""
-        arena = local // ARENA_EXTENT_ROWS
-        self._bal[cls][local] = 0.0
-        self._non[cls][local] = 0
-        self._owner[cls][local] = -1
-        aux = self._auxcol[cls]
-        if aux is not None:
-            aux[local, :] = 0.0
-        free_list = self._arena_free[cls][arena]
-        if not free_list:
-            heapq.heappush(self._free_heap[cls], arena)
-        free_list.append(local)
-        self._arena_live[cls][arena] -= 1
-
-    def _release_locals_bulk(self, cls: int, slots: np.ndarray) -> None:
-        """Zero many slots and return them to their arenas' free lists."""
-        self._bal[cls][slots] = 0.0
-        self._non[cls][slots] = 0
-        self._owner[cls][slots] = -1
-        aux = self._auxcol[cls]
-        if aux is not None:
-            aux[slots, :] = 0.0
-        arenas = slots // ARENA_EXTENT_ROWS
-        order = np.argsort(arenas, kind="stable")
-        ordered_slots = slots[order]
-        ordered_arenas = arenas[order]
-        boundaries = np.flatnonzero(np.diff(ordered_arenas) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(ordered_slots)]))
-        frees = self._arena_free[cls]
-        live = self._arena_live[cls]
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            arena = int(ordered_arenas[start])
-            free_list = frees[arena]
-            if not free_list:
-                heapq.heappush(self._free_heap[cls], arena)
-            free_list.extend(ordered_slots[start:stop][::-1].tolist())
-            live[arena] -= stop - start
-
-    def _alloc_slot(self, account: int, cls: int = 0) -> int:
-        """Claim a zeroed column slot for ``account`` (makes it home)."""
-        local = self._alloc_local(cls)
-        self._owner[cls][local] = account
-        self._dir.home[account] = self.shard_id
-        self._dir.slot[account] = self._encode(cls, local)
-        self._count += 1
-        if self._index is not None:
-            self._index.add(self.shard_id, account)
-        return local
-
-    def _alloc_slots_bulk(self, accounts: np.ndarray) -> None:
-        """Claim base-class slots for many distinct new accounts at once."""
-        n_new = len(accounts)
-        if n_new == 0:
-            return
-        slots = self._alloc_locals_bulk(0, n_new)
-        self._owner[0][slots] = accounts
-        self._dir.home[accounts] = self.shard_id
-        # Base class encodes to the raw local slot for any schema.
-        self._dir.slot[accounts] = slots
-        self._count += n_new
-        if self._index is not None:
-            self._index.add_many(self.shard_id, accounts)
-
-    def _free_slot(self, account: int) -> None:
-        cls, local = self._decode(int(self._dir.slot[account]))
-        self._release_local(cls, local)
-        self._dir.home[account] = -1
-        self._count -= 1
-        if self._index is not None:
-            self._index.discard(self.shard_id, account)
-
-    def _is_home(self, account: int) -> bool:
-        return (
-            0 <= account < self.capacity
-            and self._dir.home[account] == self.shard_id
-        )
-
-    def _can_claim(self, account: int) -> bool:
-        """True when ``account`` may take a home slot here: in capacity,
-        homed nowhere, and not already spilled into this store's extras
-        (promotion would double-count the membership)."""
-        return (
-            0 <= account < self.capacity
-            and self._dir.home[account] == -1
-            and account not in self._extra_bal
-        )
-
-    def _put_extra(self, account: int, balance: float, nonce: int) -> None:
-        if account not in self._extra_bal:
-            self._count += 1
-            if self._index is not None:
-                self._index.add(self.shard_id, account)
-        self._extra_bal[account] = balance
-        self._extra_non[account] = nonce
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __contains__(self, account: int) -> bool:
-        return self._is_home(account) or account in self._extra_bal
-
-    def accounts(self) -> Iterator[int]:
-        """Resident account ids (unspecified order)."""
-        for account in np.flatnonzero(
-            self._dir.home == self.shard_id
-        ).tolist():
-            yield account
-        yield from self._extra_bal
-
-    def get(self, account: int) -> AccountState:
-        """State of ``account``; a fresh zero state when never seen."""
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            return AccountState(
-                balance=float(self._bal[cls][local]),
-                nonce=int(self._non[cls][local]),
-            )
-        balance = self._extra_bal.get(account)
-        if balance is None:
-            return AccountState()
-        return AccountState(balance=balance, nonce=self._extra_non[account])
-
-    def put(self, account: int, state: AccountState) -> None:
-        """Install ``state`` for ``account``."""
-        if account < 0:
-            raise ValidationError(f"account must be >= 0, got {account}")
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            self._bal[cls][local] = state.balance
-            self._non[cls][local] = state.nonce
-            return
-        if self._can_claim(account):
-            local = self._alloc_slot(account)
-            self._bal[0][local] = state.balance
-            self._non[0][local] = state.nonce
-            return
-        self._put_extra(account, state.balance, state.nonce)
-
-    def credit(self, account: int, amount: float) -> AccountState:
-        """Add funds (creating the account on first touch)."""
-        if amount < 0:
-            raise ValidationError(f"credit amount must be >= 0, got {amount}")
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            balance = float(self._bal[cls][local]) + amount
-            self._bal[cls][local] = balance
-            return AccountState(balance=balance, nonce=int(self._non[cls][local]))
-        if self._can_claim(account):
-            local = self._alloc_slot(account)
-            self._bal[0][local] = amount
-            return AccountState(balance=amount, nonce=0)
-        balance = self._extra_bal.get(account, 0.0) + amount
-        nonce = self._extra_non.get(account, 0)
-        self._put_extra(account, balance, nonce)
-        return AccountState(balance=balance, nonce=nonce)
-
-    def debit(self, account: int, amount: float) -> AccountState:
-        """Remove funds; raises :class:`ChainError` when underfunded."""
-        if amount < 0:
-            raise ValidationError(f"debit amount must be >= 0, got {amount}")
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            balance = float(self._bal[cls][local])
-            if amount > balance:
-                raise ChainError(f"insufficient balance: {balance} < {amount}")
-            balance -= amount
-            nonce = int(self._non[cls][local]) + 1
-            self._bal[cls][local] = balance
-            self._non[cls][local] = nonce
-            return AccountState(balance=balance, nonce=nonce)
-        if self._can_claim(account):
-            if amount > 0.0:
-                raise ChainError(f"insufficient balance: 0.0 < {amount}")
-            local = self._alloc_slot(account)
-            self._non[0][local] = 1
-            return AccountState(balance=0.0, nonce=1)
-        balance = self._extra_bal.get(account, 0.0)
-        if amount > balance:
-            raise ChainError(f"insufficient balance: {balance} < {amount}")
-        balance -= amount
-        nonce = self._extra_non.get(account, 0) + 1
-        self._put_extra(account, balance, nonce)
-        return AccountState(balance=balance, nonce=nonce)
-
-    def remove(self, account: int) -> AccountState:
-        """Remove and return an account's state (for migration)."""
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            state = AccountState(
-                balance=float(self._bal[cls][local]),
-                nonce=int(self._non[cls][local]),
-            )
-            self._free_slot(account)
-            return state
-        try:
-            balance = self._extra_bal.pop(account)
-        except KeyError:
-            raise ChainError(
-                f"account {account} is not resident on shard {self.shard_id}"
-            ) from None
-        self._count -= 1
-        if self._index is not None:
-            self._index.discard(self.shard_id, account)
-        self._extra_aux.pop(account, None)
-        return AccountState(balance=balance, nonce=self._extra_non.pop(account))
-
-    # -- columnar bulk access (batched executor hot path) ----------------------
-
-    def _fast_bulk_ok(self, accounts: np.ndarray) -> bool:
-        """True when the pure-columnar bulk path applies.
-
-        Multi-class schemas take the scalar paths: their directory
-        entries carry the class in the high bits, so one fancy index
-        into the base columns would be wrong.
-        """
-        return (
-            not self._multiclass
-            and not self._extra_bal
-            and (
-                len(accounts) == 0
-                or (
-                    int(accounts.min()) >= 0
-                    and int(accounts.max()) < self.capacity
-                )
-            )
-        )
-
-    def balances_of(self, accounts: np.ndarray) -> np.ndarray:
-        """Balances of ``accounts`` as an array (zero when never seen)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            mine = home == self.shard_id
-            if mine.all():
-                return self._bal[0][self._dir.slot[accounts]]
-            result = np.zeros(len(accounts), dtype=np.float64)
-            if mine.any():
-                result[mine] = self._bal[0][self._dir.slot[accounts[mine]]]
-            return result
-        return np.fromiter(
-            (self.get(a).balance for a in accounts.tolist()),
-            dtype=np.float64,
-            count=len(accounts),
-        )
-
-    def write_back(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonce_bumps: np.ndarray,
-    ) -> None:
-        """Scatter updated balances (and nonce increments) back."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                slots = self._dir.slot[accounts]
-                self._bal[0][slots] = balances
-                np.add.at(self._non[0], slots, nonce_bumps)
-                return
-        for account, balance, bump in zip(
-            accounts.tolist(), balances.tolist(), nonce_bumps.tolist()
-        ):
-            if self._is_home(account):
-                cls, local = self._decode(int(self._dir.slot[account]))
-                self._bal[cls][local] = balance
-                self._non[cls][local] += bump
-            elif self._can_claim(account):
-                local = self._alloc_slot(account)
-                self._bal[0][local] = balance
-                self._non[0][local] = bump
-            else:
-                self._put_extra(
-                    account,
-                    balance,
-                    self._extra_non.get(account, 0) + bump,
-                )
-
-    def credit_many(self, accounts: np.ndarray, amounts: np.ndarray) -> None:
-        """Apply a stream of credits in order (settlement scatter)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                # np.add.at applies duplicate indices sequentially,
-                # matching the dict backend's in-order accumulation.
-                np.add.at(self._bal[0], self._dir.slot[accounts], amounts)
-                return
-        for account, amount in zip(accounts.tolist(), amounts.tolist()):
-            self.credit(account, float(amount))
-
-    # -- bulk migration (batched reconfiguration hot path) ---------------------
-
-    def take_many(
-        self, accounts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Remove ``accounts`` (all resident here); return their state."""
-        if self._fast_bulk_ok(accounts) and len(accounts):
-            home = self._dir.home[accounts]
-            if (home == self.shard_id).all():
-                slots = self._dir.slot[accounts]
-                balances = self._bal[0][slots].copy()
-                nonces = self._non[0][slots].copy()
-                self._release_locals_bulk(0, slots)
-                self._dir.home[accounts] = -1
-                self._count -= len(accounts)
-                if self._index is not None:
-                    self._index.discard_many(self.shard_id, accounts)
-                return balances, nonces
-        n = len(accounts)
-        balances = np.empty(n, dtype=np.float64)
-        nonces = np.empty(n, dtype=np.int64)
-        for i, account in enumerate(accounts.tolist()):
-            state = self.remove(account)
-            balances[i] = state.balance
-            nonces[i] = state.nonce
-        return balances, nonces
-
-    def put_many(
-        self,
-        accounts: np.ndarray,
-        balances: np.ndarray,
-        nonces: np.ndarray,
-    ) -> None:
-        """Install state rows in bulk (the columnar twin of ``put``)."""
-        if self._fast_bulk_ok(accounts):
-            home = self._dir.home[accounts]
-            new = home == -1
-            if (new | (home == self.shard_id)).all():
-                if new.any():
-                    self._alloc_slots_bulk(np.unique(accounts[new]))
-                slots = self._dir.slot[accounts]
-                self._bal[0][slots] = balances
-                self._non[0][slots] = nonces
-                return
-        for account, balance, nonce in zip(
-            accounts.tolist(), balances.tolist(), nonces.tolist()
-        ):
-            if self._is_home(account):
-                cls, local = self._decode(int(self._dir.slot[account]))
-                self._bal[cls][local] = balance
-                self._non[cls][local] = nonce
-            elif self._can_claim(account):
-                local = self._alloc_slot(account)
-                self._bal[0][local] = balance
-                self._non[0][local] = nonce
-            else:
-                self._put_extra(account, balance, int(nonce))
-
-    # -- auxiliary payload words (opt-in multi-asset / storage state) -----------
-
-    def aux_words_of(self, account: int) -> int:
-        """Aux width of the account's current size class (0 when absent)."""
-        if self._is_home(account):
-            cls, _ = self._decode(int(self._dir.slot[account]))
-            return self._classes[cls].aux_words
-        payload = self._extra_aux.get(account)
-        return 0 if payload is None else len(payload)
-
-    def put_aux(self, account: int, values: Sequence[float]) -> None:
-        """Attach aux payload words, promoting the size class as needed.
-
-        The account must already be resident (aux is state *attached
-        to* an account, it never creates one). Payloads are padded with
-        zeros to the class width; accounts promote to the smallest
-        covering class and never demote.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            need = self._schema.class_for(len(values))
-            if need > cls:
-                local = self._promote(account, cls, local, need)
-                cls = need
-            aux = self._auxcol[cls]
-            if aux is not None:
-                aux[local, :] = 0.0
-                aux[local, : len(values)] = values
-            return
-        if account in self._extra_bal:
-            if len(values):
-                self._extra_aux[account] = values.copy()
-            else:
-                self._extra_aux.pop(account, None)
-            return
-        raise ChainError(
-            f"account {account} is not resident on shard {self.shard_id}"
-        )
-
-    def _promote(self, account: int, cls: int, local: int, need: int) -> int:
-        """Re-slot ``account`` from class ``cls`` into class ``need``."""
-        balance = float(self._bal[cls][local])
-        nonce = int(self._non[cls][local])
-        old_aux = self._auxcol[cls]
-        payload = old_aux[local].copy() if old_aux is not None else None
-        self._release_local(cls, local)
-        new_local = self._alloc_local(need)
-        self._owner[need][new_local] = account
-        self._bal[need][new_local] = balance
-        self._non[need][new_local] = nonce
-        if payload is not None:
-            self._auxcol[need][new_local, : len(payload)] = payload
-        self._dir.slot[account] = self._encode(need, new_local)
-        return new_local
-
-    def aux_of(self, account: int) -> np.ndarray:
-        """Aux payload padded to the account's class width (empty: none)."""
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            aux = self._auxcol[cls]
-            if aux is None:
-                return np.zeros(0, dtype=np.float64)
-            return aux[local].copy()
-        payload = self._extra_aux.get(account)
-        if payload is None:
-            return np.zeros(0, dtype=np.float64)
-        return payload.copy()
-
-    def take_aux(self, account: int) -> Optional[np.ndarray]:
-        """Detach and return the aux payload (None when absent).
-
-        For home residents the column row is left in place — the caller
-        is about to free the slot (migration), which zeroes it.
-        """
-        if self._is_home(account):
-            cls, local = self._decode(int(self._dir.slot[account]))
-            aux = self._auxcol[cls]
-            if aux is None:
-                return None
-            return aux[local].copy()
-        return self._extra_aux.pop(account, None)
-
-    # -- accounting, telemetry and compaction -----------------------------------
-
-    def total_balance(self) -> float:
-        """Sum of resident balances (float64 pairwise ``np.sum``).
-
-        Freed slots are zeroed eagerly, so summing whole columns is
-        exact for the integral-valued conservation suites.
-        """
-        dense = float(
-            np.sum(
-                np.array([np.sum(column, dtype=np.float64) for column in self._bal]),
-                dtype=np.float64,
-            )
-        )
-        if not self._extra_bal:
-            return dense
-        return math.fsum([dense, *self._extra_bal.values()])
-
-    def state_root(self) -> str:
-        """Deterministic digest over the sorted account states.
-
-        Aux payload words are deliberately excluded so every backend —
-        and every schema — hashes identical balances/nonces to the same
-        root.
-        """
-        resident = np.flatnonzero(self._dir.home == self.shard_id)
-        encoded = self._dir.slot[resident]
-        if not self._multiclass:
-            balances = self._bal[0][encoded]
-            nonces = self._non[0][encoded]
-        else:
-            classes = encoded >> _CLS_SHIFT
-            locals_ = encoded & _LOCAL_MASK
-            balances = np.empty(len(resident), dtype=np.float64)
-            nonces = np.empty(len(resident), dtype=np.int64)
-            for cls in range(len(self._classes)):
-                mask = classes == cls
-                if mask.any():
-                    balances[mask] = self._bal[cls][locals_[mask]]
-                    nonces[mask] = self._non[cls][locals_[mask]]
-        items = [
-            (int(a), float(b), int(n))
-            for a, b, n in zip(
-                resident.tolist(), balances.tolist(), nonces.tolist()
-            )
-        ]
-        items.extend(
-            (account, balance, self._extra_non[account])
-            for account, balance in self._extra_bal.items()
-        )
-        return _state_root_digest(items)
-
-    def serialized_bytes(self) -> int:
-        """Bytes a miner transfers to sync this shard's state."""
-        return len(self) * STATE_RECORD_BYTES
-
-    def column_nbytes(self) -> int:
-        """Bytes held by this store's state columns (all classes)."""
-        total = 0
-        for cls in range(len(self._classes)):
-            total += (
-                self._bal[cls].nbytes
-                + self._non[cls].nbytes
-                + self._owner[cls].nbytes
-            )
-            aux = self._auxcol[cls]
-            if aux is not None:
-                total += aux.nbytes
-        return int(total)
-
-    def slack_slots(self) -> int:
-        """Free slots across every arena of every class."""
-        return sum(
-            len(free_list)
-            for per_class in self._arena_free
-            for free_list in per_class
-        )
+        """Free slots across every arena."""
+        return sum(len(free_list) for free_list in self._arena_free)
 
     def arena_stats(self) -> Dict[str, float]:
         """Allocator telemetry: arena count, capacity, free/live slots."""
-        arenas = sum(len(live) for live in self._arena_live)
+        arenas = len(self._arena_live)
         capacity_slots = arenas * ARENA_EXTENT_ROWS
         free_slots = self.slack_slots()
         return {
@@ -1827,63 +993,139 @@ class ArenaShardStateStore:
             "live_slots": capacity_slots - free_slots,
         }
 
-    def rehomeable_extras(self) -> int:
-        """Spill-dict entries that :meth:`compact` could re-home now.
-
-        Same contract as the dense reference — O(spill size), consumed
-        by :meth:`StateRegistry.compact_stores` to trigger compaction
-        for stranded spill entries below the slack threshold.
-        """
-        if not self._extra_bal:
-            return 0
-        return sum(
-            1
-            for account in self._extra_bal
-            if 0 <= account < self.capacity
-            and self._dir.home[account] == -1
-        )
-
-    def _rehome_extras(self) -> int:
-        """Re-slot spilled accounts that may claim a home slot again.
-
-        Same contract as the dense reference: entries that are in
-        capacity and homed nowhere move from the fallback dict into
-        fresh base-class slots (their aux payload follows); true
-        off-home residents and beyond-capacity ids stay spilled.
-        """
-        if not self._extra_bal:
-            return 0
-        eligible = [
+    def _rehomeable(self) -> List[int]:
+        """Spilled accounts in capacity and homed nowhere."""
+        return [
             account
             for account in self._extra_bal
             if 0 <= account < self.capacity
             and self._dir.home[account] == -1
         ]
-        for account in eligible:
+
+    def rehomeable_extras(self) -> int:
+        """Spill-dict entries that :meth:`compact` could re-home now.
+
+        O(spill size); lets :meth:`StateRegistry.compact_stores`
+        trigger a compaction for stranded spill entries even when the
+        free lists alone would not cross the slack threshold.
+        """
+        return len(self._rehomeable())
+
+    def _rehome_extras(self) -> None:
+        """Re-slot spilled accounts that may claim a home slot again.
+
+        A relay settlement can credit an account here while its home
+        columns live elsewhere; once the other shard removes it, the
+        spill entry is the only residency left — in capacity, homed
+        nowhere — yet it would stay in the fallback dict forever.
+        Compaction re-homes those entries into fresh column slots. Ids
+        beyond the directory capacity and genuinely off-home residents
+        stay spilled (they have no legal slot here).
+        """
+        for account in self._rehomeable():
             balance = self._extra_bal.pop(account)
             nonce = self._extra_non.pop(account)
-            payload = self._extra_aux.pop(account, None)
+            # _alloc_slot re-adds the membership this spill entry held.
             self._count -= 1
             if self._index is not None:
                 self._index.discard(self.shard_id, account)
-            local = self._alloc_slot(account)
-            self._bal[0][local] = balance
-            self._non[0][local] = nonce
-            if payload is not None and len(payload):
-                self.put_aux(account, payload)
-        return len(eligible)
+            slot = self._alloc_slot(account)
+            self._bal[slot] = balance
+            self._non[slot] = nonce
+
+    def _drain_sparse_arenas(self) -> int:
+        """Move victim arenas' rows into denser arenas; return rows moved.
+
+        Victims are arenas with occupancy strictly below
+        :data:`ARENA_COMPACT_OCCUPANCY`, drained emptiest-first into
+        free slots of the non-victims, then of the fullest victims.
+        """
+        live = self._arena_live
+        n_extents = len(live)
+        extent = ARENA_EXTENT_ROWS
+        threshold = ARENA_COMPACT_OCCUPANCY * extent
+        victims = sorted(
+            (a for a in range(n_extents) if 0 < live[a] < threshold),
+            key=lambda a: (live[a], a),
+        )
+        if not victims:
+            return 0
+        frees = self._arena_free
+        owner = self._owner
+        dense_dests = [a for a in range(n_extents) if live[a] >= threshold]
+        dest_seq = dense_dests + list(reversed(victims))
+        dest_index = 0
+        moved = 0
+        for src in victims:
+            if live[src] <= 0:
+                continue
+            rows = (
+                np.flatnonzero(owner[src * extent : (src + 1) * extent] >= 0)
+                + src * extent
+            )
+            needed = len(rows)
+            dest_slots: List[int] = []
+            blocked = False
+            while needed and dest_index < len(dest_seq):
+                dest = dest_seq[dest_index]
+                if dest == src:
+                    blocked = True
+                    break
+                free_list = frees[dest]
+                if not free_list:
+                    dest_index += 1
+                    continue
+                take = min(len(free_list), needed)
+                dest_slots.extend(free_list[-take:])
+                del free_list[-take:]
+                live[dest] += take
+                needed -= take
+            n_moved = len(dest_slots)
+            if n_moved:
+                targets = np.array(dest_slots, dtype=np.int64)
+                sources = rows[:n_moved]
+                moved_accounts = owner[sources]
+                self._bal[targets] = self._bal[sources]
+                self._non[targets] = self._non[sources]
+                owner[targets] = moved_accounts
+                self._dir.slot[moved_accounts] = targets
+                # Releasing the sources re-credits their free lists and
+                # decrements their live counts: the rows moved, not left.
+                self._release_locals_bulk(sources)
+                moved += n_moved
+            if blocked:
+                break
+        return moved
+
+    def _truncate_empty_tail(self) -> None:
+        """Drop trailing all-empty extents (where bytes are returned)."""
+        live = self._arena_live
+        n_extents = len(live)
+        keep = n_extents
+        while keep and live[keep - 1] == 0:
+            keep -= 1
+        if keep == n_extents:
+            return
+        size = keep * ARENA_EXTENT_ROWS
+        self._bal = self._bal[:size].copy()
+        self._non = self._non[:size].copy()
+        self._owner = self._owner[:size].copy()
+        del self._arena_free[keep:]
+        del live[keep:]
+        heap = [a for a in range(keep) if self._arena_free[a]]
+        heapq.heapify(heap)
+        self._free_heap = heap
 
     def compact(self) -> int:
         """Targeted arena compaction: re-slot sparse arenas, drop empty tails.
 
-        Three bounded steps per size class:
+        Three bounded steps:
 
         1. re-home eligible spill-dict entries (see
            :meth:`_rehome_extras`);
-        2. move the live rows of *victim* arenas (occupancy strictly
-           below ``compact_occupancy``) into free slots of denser
-           arenas — non-victims first, then the fullest victims — via
-           the owner map, so work is O(victim rows), not O(live rows);
+        2. move the live rows of *victim* arenas into free slots of
+           denser arenas via the owner map, so work is O(victim rows),
+           not O(live rows) (see :meth:`_drain_sparse_arenas`);
         3. truncate trailing all-empty extents, which is where column
            bytes are actually returned.
 
@@ -1891,131 +1133,37 @@ class ArenaShardStateStore:
         are the first allocation targets (the heap is ordered by arena
         id). Returns the column bytes reclaimed; the physical bytes
         rewritten land in :attr:`last_compact_moved_bytes` for the
-        recycle-policy bench.
+        churn bench.
         """
         before = self.column_nbytes()
-        moved_bytes = 0
         self._rehome_extras()
-        extent = ARENA_EXTENT_ROWS
-        for cls in range(len(self._classes)):
-            live = self._arena_live[cls]
-            n_extents = len(live)
-            if not n_extents:
-                continue
-            frees = self._arena_free[cls]
-            threshold = self.compact_occupancy * extent
-            victims = sorted(
-                (a for a in range(n_extents) if 0 < live[a] < threshold),
-                key=lambda a: (live[a], a),
-            )
-            if victims:
-                dense_dests = [
-                    a for a in range(n_extents) if live[a] >= threshold
-                ]
-                dest_seq = dense_dests + list(reversed(victims))
-                row_bytes = self._classes[cls].row_nbytes
-                owner = self._owner[cls]
-                dest_index = 0
-                for src in victims:
-                    if live[src] <= 0:
-                        continue
-                    rows = (
-                        np.flatnonzero(
-                            owner[src * extent : (src + 1) * extent] >= 0
-                        )
-                        + src * extent
-                    )
-                    needed = len(rows)
-                    dest_slots: List[int] = []
-                    blocked = False
-                    while needed and dest_index < len(dest_seq):
-                        dest = dest_seq[dest_index]
-                        if dest == src:
-                            blocked = True
-                            break
-                        free_list = frees[dest]
-                        if not free_list:
-                            dest_index += 1
-                            continue
-                        take = min(len(free_list), needed)
-                        dest_slots.extend(free_list[-take:])
-                        del free_list[-take:]
-                        live[dest] += take
-                        needed -= take
-                    n_moved = len(dest_slots)
-                    if n_moved:
-                        targets = np.array(dest_slots, dtype=np.int64)
-                        sources = rows[:n_moved]
-                        moved_accounts = owner[sources]
-                        self._bal[cls][targets] = self._bal[cls][sources]
-                        self._non[cls][targets] = self._non[cls][sources]
-                        aux = self._auxcol[cls]
-                        if aux is not None:
-                            aux[targets] = aux[sources]
-                        owner[targets] = moved_accounts
-                        self._dir.slot[moved_accounts] = (
-                            targets
-                            if not self._multiclass
-                            else (cls << _CLS_SHIFT) | targets
-                        )
-                        self._release_locals_bulk(cls, sources)
-                        # _release_locals_bulk re-credits free lists but
-                        # also re-decrements live; the rows moved rather
-                        # than left, so only the source arena balances out.
-                        moved_bytes += n_moved * row_bytes
-                    if blocked:
-                        break
-            # Truncate trailing all-empty extents.
-            keep = n_extents
-            while keep and live[keep - 1] == 0:
-                keep -= 1
-            if keep < n_extents:
-                size = keep * extent
-                self._bal[cls] = self._bal[cls][:size].copy()
-                self._non[cls] = self._non[cls][:size].copy()
-                self._owner[cls] = self._owner[cls][:size].copy()
-                aux = self._auxcol[cls]
-                if aux is not None:
-                    self._auxcol[cls] = aux[:size].copy()
-                del frees[keep:]
-                del live[keep:]
-                heap = [a for a in range(keep) if frees[a]]
-                heapq.heapify(heap)
-                self._free_heap[cls] = heap
-        self.last_compact_moved_bytes = moved_bytes
+        self.last_compact_moved_bytes = (
+            self._drain_sparse_arenas() * ARENA_ROW_BYTES
+        )
+        self._truncate_empty_tail()
         return before - self.column_nbytes()
 
 
-#: Any backend satisfies the store contract.
-AnyShardStateStore = Union[
-    ShardStateStore, DenseShardStateStore, ArenaShardStateStore
-]
+#: Either backend satisfies the store contract.
+AnyShardStateStore = Union[ShardStateStore, ArenaShardStateStore]
 
 
 class StateRegistry:
     """All shards' state stores plus migration between them.
 
     ``backend`` selects the store implementation: ``"dict"`` (default,
-    arbitrary ids), ``"dense"`` (size-classed
-    :class:`ArenaShardStateStore` arenas behind a shared
-    :class:`SlotDirectory` sized by ``n_accounts``, with a dict
-    fallback for ids beyond that capacity) or ``"dense-ref"`` (the
-    single-class first-fit :class:`DenseShardStateStore`, kept as the
-    property-pinned reference allocator). All are observably
-    identical. A :class:`ResidencyIndex` is maintained for every
-    backend (multi-word bitmasks, so any ``k``) so :meth:`locate` is
-    O(1); :meth:`locate_scan` keeps the O(k) scan as the equivalence
-    reference. :meth:`compact_stores` compacts stores whose free slots
-    grew past a slack threshold after heavy migration churn —
-    whole-column re-slotting for ``"dense-ref"``, targeted sparse-arena
-    re-slotting plus trailing-extent truncation for ``"dense"`` — and
-    feeds the registry's compaction counters
+    arbitrary ids, the test oracle) or ``"dense"``
+    (:class:`ArenaShardStateStore` arenas behind a shared
+    :class:`SlotDirectory` sized by ``n_accounts``, with a dict fallback
+    for ids beyond that capacity). Both are observably identical. A
+    :class:`ResidencyIndex` is maintained for either backend
+    (multi-word bitmasks, so any ``k``) so :meth:`locate` is O(1).
+    :meth:`compact_stores` compacts stores whose free slots grew past a
+    slack threshold after heavy migration churn — targeted sparse-arena
+    re-slotting plus trailing-extent truncation for ``"dense"``, a free
+    no-op for ``"dict"`` — and feeds the registry's compaction counters
     (:attr:`compaction_count`, :attr:`compacted_bytes_total`,
     :attr:`compact_moved_bytes_total`).
-
-    ``schema`` (a :class:`ColumnSchema`) opts the arena backend into
-    multi-class payloads; aux words travel with migrations through
-    :meth:`migrate`/:meth:`migrate_batch` and stay out of state roots.
     """
 
     def __init__(
@@ -2023,7 +1171,6 @@ class StateRegistry:
         k: int,
         backend: str = BACKEND_DICT,
         n_accounts: int = 0,
-        schema: Optional[ColumnSchema] = None,
     ) -> None:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
@@ -2034,37 +1181,18 @@ class StateRegistry:
             )
         if n_accounts < 0:
             raise ValidationError(f"n_accounts must be >= 0, got {n_accounts}")
-        if schema is not None and not isinstance(schema, ColumnSchema):
-            raise ConfigurationError(
-                f"schema must be a ColumnSchema, got {type(schema).__name__}"
-            )
         self.k = k
         self.backend = backend
         self.n_accounts = int(n_accounts)
-        self.schema = schema if schema is not None else ColumnSchema.base()
         self.compaction_count = 0
         self.compacted_bytes_total = 0
         self.compact_moved_bytes_total = 0
-        self._index: Optional[ResidencyIndex] = ResidencyIndex(
-            self.n_accounts, n_shards=k
-        )
+        self._index = ResidencyIndex(self.n_accounts, n_shards=k)
         self._directory: Optional[SlotDirectory] = None
         if backend == BACKEND_DENSE:
             self._directory = SlotDirectory(self.n_accounts)
             self.stores: Tuple[AnyShardStateStore, ...] = tuple(
                 ArenaShardStateStore(
-                    shard,
-                    self.n_accounts,
-                    directory=self._directory,
-                    index=self._index,
-                    schema=self.schema,
-                )
-                for shard in range(k)
-            )
-        elif backend == BACKEND_DENSE_REF:
-            self._directory = SlotDirectory(self.n_accounts)
-            self.stores = tuple(
-                DenseShardStateStore(
                     shard,
                     self.n_accounts,
                     directory=self._directory,
@@ -2078,7 +1206,7 @@ class StateRegistry:
             )
 
     @property
-    def residency_index(self) -> Optional[ResidencyIndex]:
+    def residency_index(self) -> ResidencyIndex:
         """The incremental account->shard index (multi-word, any k)."""
         return self._index
 
@@ -2088,33 +1216,12 @@ class StateRegistry:
         return self.stores[shard]
 
     def locate(self, account: int) -> Optional[int]:
-        """Shard currently holding ``account``'s state, or None.
-
-        O(1) through the residency index; identical to
-        :meth:`locate_scan` (the property suite pins it).
-        """
-        if self._index is not None:
-            return self._index.get_shard(account)
-        return self.locate_scan(account)
-
-    def locate_scan(self, account: int) -> Optional[int]:
-        """Reference O(k) locate: scan the stores in shard order."""
-        for store in self.stores:
-            if account in store:
-                return store.shard_id
-        return None
+        """Lowest shard id holding ``account``'s state, or None (O(1))."""
+        return self._index.get_shard(account)
 
     def locate_many(self, accounts: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`locate`; ``-1`` marks non-residents."""
-        if self._index is not None:
-            return self._index.shards_of(accounts)
-        return np.array(
-            [
-                -1 if (shard := self.locate_scan(int(a))) is None else shard
-                for a in np.asarray(accounts, dtype=np.int64).tolist()
-            ],
-            dtype=np.int64,
-        )
+        return self._index.shards_of(accounts)
 
     def migrate(self, account: int, from_shard: int, to_shard: int) -> int:
         """Move an account's state between shards; returns bytes moved.
@@ -2136,10 +1243,7 @@ class StateRegistry:
                     f"not on migration source shard {from_shard}"
                 )
             return 0
-        aux = source.take_aux(account) if self.schema.has_aux else None
         target.put(account, source.remove(account))
-        if aux is not None and len(aux):
-            target.put_aux(account, aux)
         return STATE_RECORD_BYTES
 
     def migrate_batch(
@@ -2152,9 +1256,10 @@ class StateRegistry:
         then state moves grouped per source shard (one bulk take each)
         and per target shard (one bulk put each). Accounts must be
         unique within the batch — the beacon's per-epoch commitment
-        rounds guarantee that. Non-resident accounts and accounts
-        already on their target are free no-ops, exactly like the
-        scalar path.
+        rounds guarantee that, and a batch that repeats an id raises
+        :class:`ValidationError` before anything moves. Non-resident
+        accounts and accounts already on their target are free no-ops,
+        exactly like the scalar path.
         """
         accounts = np.asarray(accounts, dtype=np.int64)
         to_shards = np.asarray(to_shards, dtype=np.int64)
@@ -2162,10 +1267,15 @@ class StateRegistry:
             raise ValidationError("accounts/to_shards length mismatch")
         if len(accounts) == 0:
             return 0
-        if len(to_shards) and (
-            int(to_shards.min()) < 0 or int(to_shards.max()) >= self.k
-        ):
+        if int(to_shards.min()) < 0 or int(to_shards.max()) >= self.k:
             raise ValidationError("target shard out of range in migration batch")
+        ordered = np.sort(accounts)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise ValidationError(
+                f"account {int(repeated[0])} appears more than once "
+                "in migration batch"
+            )
         current = self.locate_many(accounts)
         moving = (current >= 0) & (current != to_shards)
         if not moving.any():
@@ -2173,18 +1283,6 @@ class StateRegistry:
         acc = accounts[moving]
         src = current[moving]
         dst = to_shards[moving]
-
-        aux_carry: Optional[Dict[int, Tuple[int, np.ndarray]]] = None
-        if self.schema.has_aux:
-            # Aux payloads ride along explicitly: the bulk take/put
-            # columns below only carry balance + nonce.
-            aux_carry = {}
-            for account, source, target in zip(
-                acc.tolist(), src.tolist(), dst.tolist()
-            ):
-                payload = self.store_of(int(source)).take_aux(int(account))
-                if payload is not None and len(payload):
-                    aux_carry[int(account)] = (int(target), payload)
 
         order = np.argsort(src, kind="stable")
         acc, src, dst = acc[order], src[order], dst[order]
@@ -2209,9 +1307,6 @@ class StateRegistry:
                 balances[start:stop],
                 nonces[start:stop],
             )
-        if aux_carry:
-            for account, (target, payload) in aux_carry.items():
-                self.store_of(target).put_aux(account, payload)
         return len(acc) * STATE_RECORD_BYTES
 
     def compact_stores(self, min_slack: float = 0.5) -> int:
@@ -2234,13 +1329,10 @@ class StateRegistry:
             # Stranded spill entries (in capacity, homed nowhere) are
             # re-homed by compact() but never grow the free list, so
             # they qualify a store independently of the slack check.
-            rehomeable = getattr(store, "rehomeable_extras", lambda: 0)()
-            if over_threshold or rehomeable:
+            if over_threshold or store.rehomeable_extras():
                 reclaimed += store.compact()
                 self.compaction_count += 1
-                self.compact_moved_bytes_total += getattr(
-                    store, "last_compact_moved_bytes", 0
-                )
+                self.compact_moved_bytes_total += store.last_compact_moved_bytes
         self.compacted_bytes_total += reclaimed
         return reclaimed
 
@@ -2251,7 +1343,7 @@ class StateRegistry:
         ``occupancy`` its complement weighted the same way; both are
         0.0 for backends without slot columns (dict) or before any
         column is allocated. ``arena_count`` counts arenas across all
-        shards and size classes (0 outside the arena backend).
+        shards (0 for the dict backend).
         """
         arenas = free_slots = capacity_slots = live_slots = 0
         for store in self.stores:
@@ -2286,8 +1378,7 @@ class StateRegistry:
         compares against the full-universe-columns layout.
         """
         total = sum(store.column_nbytes() for store in self.stores)
+        total += self._index.nbytes()
         if self._directory is not None:
             total += self._directory.nbytes()
-        if self._index is not None:
-            total += self._index.nbytes()
         return int(total)

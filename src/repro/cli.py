@@ -584,12 +584,10 @@ def _command_bench(args: argparse.Namespace) -> int:
         print(line)
     if "churn_seconds_arena_1m" in payload:
         print(
-            f"churn 1M        : {payload['churn_moved_mb_arena_1m']}MB "
-            f"compacted arena vs "
-            f"{payload['churn_moved_mb_firstfit_1m']}MB first-fit "
-            f"({payload['churn_seconds_arena_1m']}s vs "
-            f"{payload['churn_seconds_firstfit_1m']}s, "
-            f"final frag {payload['frag_final_arena_1m']}, "
+            f"churn 1M        : {payload['churn_seconds_arena_1m']}s dense, "
+            f"{payload['churn_moved_mb_arena_1m']}MB compacted, "
+            f"peak state {payload['peak_state_mb_arena_1m']}MB "
+            f"(final frag {payload['frag_final_arena_1m']}, "
             f"{payload['arena_count_1m']} arenas)"
         )
     if "peak_rss_mb_windowed_1m" in payload:

@@ -233,7 +233,7 @@ def reconfig_microbench(
 
 
 def churn_microbench(
-    policy: str = "arena",
+    backend: str = "dense",
     n_accounts: int = 1_000_000,
     k: int = 16,
     epochs: int = 8,
@@ -241,7 +241,7 @@ def churn_microbench(
     compact_slack: float = 0.25,
     seed: int = 0,
 ) -> Dict[str, object]:
-    """Churn-adversarial recycle-policy benchmark over the dense backends.
+    """Churn-adversarial reconfiguration benchmark over a state backend.
 
     Funds an ``n_accounts`` universe, then runs ``epochs`` adversarial
     reconfiguration rounds: each round migrates a fresh random
@@ -250,34 +250,25 @@ def churn_microbench(
     workload that fragments a recycling allocator) and follows with the
     engine's per-epoch ``compact_stores(min_slack=compact_slack)`` pass.
 
-    ``policy`` selects the slot layer under test: ``"arena"`` is the
-    size-classed arena allocator (backend ``"dense"`` — targeted
-    compaction re-slots only arenas below the occupancy threshold),
-    ``"firstfit"`` the single-class first-fit free-list reference
-    (backend ``"dense-ref"`` — compaction is a whole-column rewrite).
-    Both see the identical migration sequence, so their per-shard state
-    roots must match bit-for-bit (asserted in the perf gate and the CI
-    smoke step).
+    ``backend`` selects the state store under test: ``"dense"`` (the
+    arena store — targeted compaction re-slots only arenas below the
+    occupancy threshold) or ``"dict"`` (the oracle, whose compaction is
+    a no-op). Both see the identical migration sequence from the same
+    seed, so their per-shard state roots must match bit-for-bit
+    (asserted in the perf gate and in ``run_bench``).
 
     Returns a metrics dict: wall ``seconds`` for the timed churn loop,
     ``moved_accounts``, ``compactions``, ``compact_moved_mb`` (bytes
-    physically rewritten by compaction — the headline margin: targeted
-    re-slotting vs whole-column rewrites), ``reclaimed_mb``,
-    ``peak_state_mb`` (high-water registry state bytes),
-    final ``fragmentation``/``occupancy`` (occupancy doubling as the
+    physically rewritten by compaction), ``reclaimed_mb``,
+    ``peak_state_mb`` (high-water registry state bytes), final
+    ``fragmentation``/``occupancy`` (occupancy doubling as the
     slot-locality proxy: live rows per allocated slot), ``arena_count``,
-    and the per-shard ``state_roots`` for cross-policy equivalence.
+    and the per-shard ``state_roots`` for cross-backend equivalence.
     """
     from repro.chain.crossshard import CrossShardExecutor
     from repro.chain.mapping import ShardMapping
     from repro.chain.state import StateRegistry
 
-    policies = {"arena": "dense", "firstfit": "dense-ref"}
-    backend = policies.get(policy)
-    if backend is None:
-        raise ExperimentError(
-            f"policy must be one of {sorted(policies)}, got {policy!r}"
-        )
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, k, size=n_accounts)
     registry = StateRegistry(k=k, backend=backend, n_accounts=n_accounts)
@@ -287,7 +278,7 @@ def churn_microbench(
     executor.fund_many(np.arange(n_accounts, dtype=np.int64), 100.0)
 
     # Pre-draw every round's churn set so the timed loop measures the
-    # allocator, not the RNG — and so both policies replay the exact
+    # allocator, not the RNG — and so both backends replay the exact
     # same migration sequence from the same seed.
     rounds = [
         rng.choice(n_accounts, size=int(n_accounts * churn_fraction), replace=False)
@@ -730,14 +721,14 @@ def run_bench(
     netsim_direct = netsim_microbench(mode="direct")
     netsim_ideal = netsim_microbench(mode="ideal")
     netsim_wan = netsim_microbench(mode="wan")
-    # Recycle-policy churn bench: both policies replay the identical
-    # migration sequence, so root divergence here is a correctness bug,
-    # not noise — refuse to record a snapshot from a broken allocator.
-    churn_arena = churn_microbench(policy="arena")
-    churn_firstfit = churn_microbench(policy="firstfit")
-    if churn_arena["state_roots"] != churn_firstfit["state_roots"]:
+    # Churn bench: the dict oracle replays the identical migration
+    # sequence, so root divergence here is a correctness bug, not
+    # noise — refuse to record a snapshot from a broken allocator.
+    churn_arena = churn_microbench()
+    churn_oracle = churn_microbench(backend="dict")
+    if churn_arena["state_roots"] != churn_oracle["state_roots"]:
         raise ExperimentError(
-            "churn microbench: arena and first-fit state roots diverged"
+            "churn microbench: dense and dict state roots diverged"
         )
     smoke = smoke_seconds(repeats=BENCH_REPEATS)
     # One extra matrix pass with memory tracking, outside the timing
@@ -790,19 +781,17 @@ def run_bench(
         "hash-random metrics run over the 1M-row valued extract — "
         "windowed StreamingSimulation over the chunked CsvTraceSource "
         "vs eager materialise + Simulation",
-        "churn_*_{arena,firstfit}_1m: 8 adversarial reconfiguration "
-        "rounds at 1M accounts / k=16 (35% of the universe migrates to "
-        "a rotating hot shard each round, compact_stores after every "
-        "round), size-classed arena allocator vs the single-class "
-        "first-fit reference; identical migration sequence, per-shard "
-        "state roots asserted bit-identical",
-        "churn_moved_mb_*: bytes physically rewritten by compaction — "
-        "targeted arena re-slotting vs whole-column rewrites (the gated "
-        ">= 1.5x margin); the arena policy trades deferred reclamation "
-        "(higher frag_final/peak_state) for that rewrite cut",
-        "frag_final_*/arena_count_1m: end-of-run allocator telemetry "
-        "(free slots over capacity; arenas across shards and size "
-        "classes) — the same counters EpochRecord surfaces per epoch",
+        "churn_*_arena_1m: 8 adversarial reconfiguration rounds at 1M "
+        "accounts / k=16 (35% of the universe migrates to a rotating "
+        "hot shard each round, compact_stores after every round) over "
+        "the dense arena store; per-shard state roots asserted "
+        "bit-identical to the dict oracle under the same sequence",
+        "churn_moved_mb_arena_1m: bytes physically rewritten by "
+        "targeted arena compaction; it and peak_state_mb_arena_1m are "
+        "deterministic byte counters the perf gate bounds live",
+        "frag_final_arena_1m/arena_count_1m: end-of-run allocator "
+        "telemetry (free slots over capacity; arenas across shards) — "
+        "the same counters EpochRecord surfaces per epoch",
     ]
     if notes:
         all_notes.extend(notes)
@@ -838,22 +827,11 @@ def run_bench(
     if ingest_arrow_1m is not None:
         payload["ingest_seconds_arrow_1m"] = round(ingest_arrow_1m, 3)
     payload["churn_seconds_arena_1m"] = round(churn_arena["seconds"], 3)
-    payload["churn_seconds_firstfit_1m"] = round(churn_firstfit["seconds"], 3)
     payload["churn_moved_mb_arena_1m"] = round(churn_arena["compact_moved_mb"], 3)
-    payload["churn_moved_mb_firstfit_1m"] = round(
-        churn_firstfit["compact_moved_mb"], 3
-    )
     payload["churn_compactions_arena_1m"] = churn_arena["compactions"]
-    payload["churn_compactions_firstfit_1m"] = churn_firstfit["compactions"]
     payload["frag_final_arena_1m"] = round(churn_arena["fragmentation"], 3)
-    payload["frag_final_firstfit_1m"] = round(
-        churn_firstfit["fragmentation"], 3
-    )
     payload["arena_count_1m"] = churn_arena["arena_count"]
     payload["peak_state_mb_arena_1m"] = round(churn_arena["peak_state_mb"], 1)
-    payload["peak_state_mb_firstfit_1m"] = round(
-        churn_firstfit["peak_state_mb"], 1
-    )
     payload["netsim_seconds_direct"] = round(netsim_direct, 3)
     payload["netsim_seconds_ideal"] = round(netsim_ideal, 3)
     payload["netsim_seconds_wan"] = round(netsim_wan, 3)

@@ -48,6 +48,13 @@ INGEST_SCALE = 0.1
 #: reconfiguration workload at 1/10 of the universe.
 CHURN_SCALE = 0.1
 
+#: MB rewritten by compaction on the snapshot's 1M-account churn
+#: workload under the first-fit recycle policy, the last figure
+#: recorded before that store was removed (it rewrote whole columns
+#: where the arena store re-slots only the live tail). The arena store
+#: must keep its 1.5x margin under this reference.
+FIRSTFIT_CHURN_MOVED_MB_1M = 77.628
+
 #: CI-sized memory bench: the snapshot's 1M-row windowed-vs-materialised
 #: comparison at 400k rows — large enough that the O(total-rows)
 #: materialised peak clearly dominates the windowed engine's
@@ -192,45 +199,31 @@ class TestCommittedSnapshot:
         )
 
     def test_snapshot_churn_arena_beats_firstfit_on_a_margin(self):
-        """The size-classed arena policy must beat the first-fit
-        reference on at least one gated margin of the 1M-account
-        churn-adversarial workload: >= 1.5x fewer bytes physically
-        rewritten by compaction, or >= 1.3x churn throughput."""
+        """The committed 1M-account churn entry must rewrite >= 1.5x
+        fewer bytes by compaction than the recorded first-fit
+        reference, ``FIRSTFIT_CHURN_MOVED_MB_1M``."""
         baseline = load_baseline(BASELINE_PATH)
         moved_arena = baseline.get("churn_moved_mb_arena_1m")
-        moved_firstfit = baseline.get("churn_moved_mb_firstfit_1m")
-        sec_arena = baseline.get("churn_seconds_arena_1m")
-        sec_firstfit = baseline.get("churn_seconds_firstfit_1m")
-        if moved_arena is None or moved_firstfit is None:
-            pytest.skip("snapshot predates the churn entries")
-        assert isinstance(moved_arena, (int, float)) and moved_arena >= 0
-        assert isinstance(moved_firstfit, (int, float)) and moved_firstfit > 0
-        moved_margin = moved_firstfit >= 1.5 * moved_arena
-        speed_margin = (
-            isinstance(sec_arena, (int, float))
-            and isinstance(sec_firstfit, (int, float))
-            and sec_arena > 0
-            and sec_firstfit >= 1.3 * sec_arena
+        assert isinstance(moved_arena, (int, float)) and moved_arena >= 0, (
+            "snapshot lacks churn_moved_mb_arena_1m"
         )
-        assert moved_margin or speed_margin, (
-            f"arena policy lost both margins: moved "
-            f"{moved_arena}MB vs first-fit {moved_firstfit}MB, "
-            f"{sec_arena}s vs {sec_firstfit}s"
+        assert FIRSTFIT_CHURN_MOVED_MB_1M >= 1.5 * moved_arena, (
+            f"arena compaction rewrote {moved_arena}MB, first-fit "
+            f"reference {FIRSTFIT_CHURN_MOVED_MB_1M}MB — margin lost"
         )
 
     def test_snapshot_carries_fragmentation_telemetry(self):
         """The churn entries must record the allocator telemetry the
-        epoch loop surfaces: a nonzero arena count and fragmentation
-        ratios inside [0, 1] for both policies."""
+        epoch loop surfaces: a nonzero arena count and a fragmentation
+        ratio inside [0, 1]."""
         baseline = load_baseline(BASELINE_PATH)
         arenas = baseline.get("arena_count_1m")
         if arenas is None:
             pytest.skip("snapshot predates the churn entries")
         assert isinstance(arenas, int) and arenas > 0
-        for key in ("frag_final_arena_1m", "frag_final_firstfit_1m"):
-            frag = baseline.get(key)
-            assert isinstance(frag, (int, float)), key
-            assert 0.0 <= frag <= 1.0, (key, frag)
+        frag = baseline.get("frag_final_arena_1m")
+        assert isinstance(frag, (int, float))
+        assert 0.0 <= frag <= 1.0, frag
 
     def test_snapshot_arrow_ingest_holds_3x_over_streamed(self):
         """The arrow columnar decode must stay >= 3x faster than the
@@ -391,28 +384,54 @@ class TestPerfSmokeGate:
         )
 
     def test_live_churn_arena_margin_and_root_equivalence(self):
-        """The arena allocator must actually earn its margin here.
+        """The dense store must hold its churn budget here.
 
         Replays the churn-adversarial workload at 1/10 of the
-        snapshot's universe under both recycle policies and requires
-        the gated compaction-bytes margin live (1.5x, same as the
-        snapshot — tracemalloc-free byte counters don't jitter), plus
-        the correctness half of the bargain: identical per-shard state
-        roots across policies and nonzero arena telemetry.
+        snapshot's universe through the dense store and through the
+        dict oracle from the same seed. Per-shard state roots must
+        match exactly. Bytes rewritten by compaction and peak state
+        bytes are deterministic counters, so each, scaled back up by
+        ``CHURN_SCALE``, may exceed its 1M snapshot entry by at most
+        1.25x, and scaled moved bytes must also stay 1.5x under the
+        first-fit reference; wall time gets the usual 3x budget. Arena
+        telemetry must be live.
         """
+        baseline = load_baseline(BASELINE_PATH)
+        for key in (
+            "churn_seconds_arena_1m",
+            "churn_moved_mb_arena_1m",
+            "peak_state_mb_arena_1m",
+        ):
+            assert isinstance(baseline.get(key), (int, float)), (
+                f"snapshot lacks {key}"
+            )
         n_accounts = int(1_000_000 * CHURN_SCALE)
-        arena = churn_microbench(policy="arena", n_accounts=n_accounts)
-        firstfit = churn_microbench(policy="firstfit", n_accounts=n_accounts)
-        assert arena["state_roots"] == firstfit["state_roots"], (
-            "arena and first-fit state roots diverged under identical churn"
+        dense = churn_microbench(n_accounts=n_accounts)
+        oracle = churn_microbench(backend="dict", n_accounts=n_accounts)
+        assert dense["state_roots"] == oracle["state_roots"], (
+            "dense and dict state roots diverged under identical churn"
         )
-        assert firstfit["compact_moved_mb"] >= 1.5 * arena["compact_moved_mb"], (
-            f"arena compaction rewrote {arena['compact_moved_mb']:.2f}MB, "
-            f"first-fit {firstfit['compact_moved_mb']:.2f}MB — margin lost"
+        for metric, key in (
+            ("compact_moved_mb", "churn_moved_mb_arena_1m"),
+            ("peak_state_mb", "peak_state_mb_arena_1m"),
+        ):
+            scaled = dense[metric] / CHURN_SCALE
+            assert scaled <= 1.25 * baseline[key], (
+                f"{metric}: {dense[metric]:.2f}MB at {n_accounts} accounts "
+                f"scales to {scaled:.1f}MB, over 1.25x the snapshot's "
+                f"{baseline[key]}MB"
+            )
+        scaled_moved = dense["compact_moved_mb"] / CHURN_SCALE
+        assert FIRSTFIT_CHURN_MOVED_MB_1M >= 1.5 * scaled_moved, (
+            f"arena compaction rewrote {scaled_moved:.1f}MB scaled, "
+            f"first-fit reference {FIRSTFIT_CHURN_MOVED_MB_1M}MB — margin lost"
         )
-        assert arena["arena_count"] > 0
-        assert 0.0 <= arena["fragmentation"] <= 1.0
-        assert arena["compactions"] > 0 and firstfit["compactions"] > 0
+        measured = {"churn_seconds_arena_1m": dense["seconds"] / CHURN_SCALE}
+        violations = check_against_baseline(measured, baseline, threshold=3.0)
+        assert not violations, "; ".join(violations)
+        assert dense["arena_count"] > 0
+        assert 0.0 <= dense["fragmentation"] <= 1.0
+        assert dense["compactions"] > 0
 
     def test_batched_reconfig_within_3x_of_snapshot(self):
         """The batch reconfiguration path must not de-vectorise.

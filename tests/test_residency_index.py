@@ -6,8 +6,8 @@ leave account state resident off the phi shard (or on *two* shards),
 so the index must report exactly what the scan reports under any
 interleaving of execution, migration and settlement. The property
 suite here drives both state backends through randomized op streams
-and compares ``locate`` (index) against ``locate_scan`` (reference)
-after every step.
+and compares ``locate`` (index) against the O(k) store scan in
+``tests/oracles/residency.py`` after every step.
 
 The compaction contract rides along: per-shard local-slot columns must
 cut the dense backend's numpy footprint at least 4x against the old
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.residency import locate_scan
 
 from repro.chain.crossshard import CrossShardExecutor
 from repro.chain.mapping import ShardMapping
@@ -36,7 +37,7 @@ K = 4
 
 def _assert_index_matches_scan(registry: StateRegistry) -> None:
     ids = np.arange(N_ACCOUNTS + 5, dtype=np.int64)  # includes unknown ids
-    expected = [registry.locate_scan(int(a)) for a in ids]
+    expected = [locate_scan(registry, int(a)) for a in ids]
     for account, want in zip(ids.tolist(), expected):
         assert registry.locate(account) == want, account
     packed = registry.locate_many(ids)
@@ -170,7 +171,7 @@ class TestWideShardCounts:
         k = self.K_WIDE
         mapping = ShardMapping(rng.integers(0, k, size=N_ACCOUNTS), k=k)
         registry = StateRegistry(k=k, backend=backend, n_accounts=N_ACCOUNTS)
-        assert registry.residency_index is not None
+        assert isinstance(registry.residency_index, ResidencyIndex)
         executor = CrossShardExecutor(registry, mapping, relay_delay_blocks=2)
         executor.fund_many(
             np.arange(N_ACCOUNTS, dtype=np.int64),
@@ -281,7 +282,7 @@ class TestResidencyIndexUnit:
 
     def test_registry_exposes_index_and_wrong_source_still_raises(self):
         registry = StateRegistry(3, backend=BACKEND_DENSE, n_accounts=8)
-        assert registry.residency_index is not None
+        assert isinstance(registry.residency_index, ResidencyIndex)
         registry.store_of(2).credit(5, 4.0)
         assert registry.locate(5) == 2
         with pytest.raises(StateMigrationError, match="resident on shard 2"):
@@ -362,7 +363,7 @@ class TestDenseCompaction:
         assert registry.total_balance() == n_accounts * 1.0
         ids = np.arange(n_accounts, dtype=np.int64)
         assert registry.locate_many(ids).tolist() == [
-            registry.locate_scan(int(a)) for a in ids
+            locate_scan(registry, int(a)) for a in ids
         ]
 
     def test_threshold_gates_compaction(self):

@@ -1,44 +1,38 @@
-"""Arena-allocator equivalence, size-class payloads, and churn bounds.
+"""Arena-allocator equivalence, spill re-homing, and churn bounds.
 
-The size-classed :class:`ArenaShardStateStore` (backend ``"dense"``)
-must be observably identical to both the single-class first-fit
-reference (backend ``"dense-ref"``) and the scalar dict backend under
-any interleaving of execution ops, scalar/batched migration, settlement
-write-backs and compaction — spill and multi-residency included, at
-small k and at the multi-word residency scale (k > 64). On top of the
-equivalence property, this suite pins the multiclass ``ColumnSchema``
-payload semantics (promotion, migration carry, root neutrality), the
-compact-time spill re-homing behaviour, and the adversarial-churn
-memory bound that mirrors the reference backend's ``compact()``
-assertion.
+The :class:`ArenaShardStateStore` (backend ``"dense"``) must be
+observably identical to the scalar dict backend under any interleaving
+of execution ops, scalar/batched migration, settlement write-backs and
+compaction — spill and multi-residency included, at small k and at the
+multi-word residency scale (k > 64). On top of the equivalence
+property, this suite pins the compact-time spill re-homing behaviour
+and an adversarial-churn memory bound on the compacted arenas.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.residency import locate_scan
 
 from repro.chain.state import (
     ARENA_EXTENT_ROWS,
     BACKEND_DENSE,
-    BACKEND_DENSE_REF,
     BACKEND_DICT,
     AccountState,
-    ColumnSchema,
-    SizeClass,
     StateRegistry,
 )
-from repro.errors import ChainError, ValidationError
+from repro.errors import ChainError
 
 N_ACCOUNTS = 24
 K = 3
 
-ALL_BACKENDS = (BACKEND_DICT, BACKEND_DENSE_REF, BACKEND_DENSE)
+ALL_BACKENDS = (BACKEND_DICT, BACKEND_DENSE)
 
 
-def _registries(schema=None):
+def _registries():
     return tuple(
-        StateRegistry(K, backend=b, n_accounts=N_ACCOUNTS, schema=schema)
+        StateRegistry(K, backend=b, n_accounts=N_ACCOUNTS)
         for b in ALL_BACKENDS
     )
 
@@ -98,9 +92,9 @@ _OPS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(ops=_OPS)
 def test_arena_reference_and_dict_are_observably_identical(ops):
-    """The core tentpole property: randomized execute / migrate /
-    settle / compact interleavings leave all three backends with
-    identical observable state after every step."""
+    """The core property: randomized execute / migrate / settle /
+    compact interleavings leave the arena store and the dict oracle
+    with identical observable state after every step."""
     registries = _registries()
     for op in ops:
         kind = op[0]
@@ -162,7 +156,7 @@ def test_arena_reference_and_dict_are_observably_identical(ops):
 
 class TestLargeKMultiWordResidency:
     """k > 64 drives the residency index into multi-word bitmasks; the
-    arena allocator must stay root-identical to both references
+    arena allocator must stay root-identical to the dict oracle
     through batched churn at that scale."""
 
     K_LARGE = 80
@@ -204,14 +198,14 @@ class TestLargeKMultiWordResidency:
             roots = [
                 [s.state_root() for s in reg.stores] for reg in registries
             ]
-            assert roots[0] == roots[1] == roots[2]
+            assert roots[0] == roots[1]
             locates = [reg.locate_many(ids).tolist() for reg in registries]
-            assert locates[0] == locates[1] == locates[2]
+            assert locates[0] == locates[1]
 
 
 class TestBeyondCapacitySpill:
     """Ids past the preallocated capacity live in the spill dict; the
-    arena backend must treat them exactly like the references do,
+    arena backend must treat them exactly like the dict oracle does,
     through compaction included."""
 
     def test_spilled_ids_stay_equivalent_through_compact(self):
@@ -253,7 +247,7 @@ class TestSpillRehoming:
     fresh slots when capacity allows, instead of leaving them spilled
     indefinitely — with observable state (roots) untouched."""
 
-    @pytest.mark.parametrize("backend", (BACKEND_DENSE, BACKEND_DENSE_REF))
+    @pytest.mark.parametrize("backend", (BACKEND_DENSE,))
     def test_compact_rehomes_freed_spill_entries(self, backend):
         registry = StateRegistry(2, backend=backend, n_accounts=8)
         s0, s1 = registry.store_of(0), registry.store_of(1)
@@ -270,7 +264,7 @@ class TestSpillRehoming:
         assert s1.state_root() == root_before
         assert s1.get(3) == AccountState(balance=5.0, nonce=1)
 
-    @pytest.mark.parametrize("backend", (BACKEND_DENSE, BACKEND_DENSE_REF))
+    @pytest.mark.parametrize("backend", (BACKEND_DENSE,))
     def test_spill_heavy_churn_shrinks_spill_and_keeps_roots(self, backend):
         n = 32
         registry = StateRegistry(2, backend=backend, n_accounts=n)
@@ -301,153 +295,10 @@ class TestSpillRehoming:
         assert s1.get(3) == AccountState(balance=5.0)
 
 
-class TestMulticlassSchema:
-    """Opt-in aux payloads: size-class promotion, migration carry, and
-    root neutrality."""
-
-    SCHEMA = ColumnSchema(
-        classes=(
-            SizeClass("base", 0),
-            SizeClass("asset", 2),
-            SizeClass("storage", 6),
-        )
-    )
-
-    def test_schema_validation(self):
-        with pytest.raises(ValidationError):
-            ColumnSchema(classes=())
-        with pytest.raises(ValidationError):
-            ColumnSchema(classes=(SizeClass("base", 1),))
-        with pytest.raises(ValidationError):
-            ColumnSchema(
-                classes=(SizeClass("base", 0), SizeClass("a", 3), SizeClass("b", 3))
-            )
-        with pytest.raises(ValidationError):
-            ColumnSchema(classes=(SizeClass("x", 0), SizeClass("x", 2)))
-        assert self.SCHEMA.class_for(0) == 0
-        assert self.SCHEMA.class_for(1) == 1
-        assert self.SCHEMA.class_for(5) == 2
-        with pytest.raises(ValidationError):
-            self.SCHEMA.class_for(7)
-
-    def test_aux_round_trip_and_promotion(self):
-        registry = StateRegistry(
-            2, backend=BACKEND_DENSE, n_accounts=16, schema=self.SCHEMA
-        )
-        store = registry.store_of(0)
-        store.credit(4, 10.0)
-        assert store.aux_words_of(4) == 0
-        store.put_aux(4, [1.5, 2.5])
-        assert store.aux_words_of(4) == 2
-        assert store.aux_of(4).tolist() == [1.5, 2.5]
-        # Widening promotes to the storage class and pads with zeros.
-        store.put_aux(4, [1.0, 2.0, 3.0])
-        assert store.aux_words_of(4) == 6
-        assert store.aux_of(4).tolist() == [1.0, 2.0, 3.0, 0.0, 0.0, 0.0]
-        # Narrowing never demotes; the row is rewritten in place.
-        store.put_aux(4, [9.0])
-        assert store.aux_words_of(4) == 6
-        assert store.aux_of(4)[0] == 9.0
-        assert store.get(4) == AccountState(balance=10.0)
-
-    def test_put_aux_requires_residency(self):
-        registry = StateRegistry(
-            2, backend=BACKEND_DENSE, n_accounts=16, schema=self.SCHEMA
-        )
-        with pytest.raises(ChainError):
-            registry.store_of(0).put_aux(4, [1.0])
-
-    def test_aux_travels_with_scalar_and_batch_migration(self):
-        registry = StateRegistry(
-            2, backend=BACKEND_DENSE, n_accounts=16, schema=self.SCHEMA
-        )
-        s0, s1 = registry.store_of(0), registry.store_of(1)
-        for account in (1, 2, 3):
-            s0.credit(account, 5.0)
-        s0.put_aux(1, [1.0, 2.0])
-        s0.put_aux(2, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        registry.migrate(1, 0, 1)
-        assert s1.aux_of(1).tolist() == [1.0, 2.0]
-        registry.migrate_batch(
-            np.array([2, 3], dtype=np.int64), np.array([1, 1], dtype=np.int64)
-        )
-        assert s1.aux_of(2).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        assert s1.aux_of(3).tolist() == []
-        assert len(s0) == 0
-
-    def test_aux_survives_compaction(self):
-        registry = StateRegistry(
-            2, backend=BACKEND_DENSE, n_accounts=16, schema=self.SCHEMA
-        )
-        store = registry.store_of(0)
-        for account in range(10):
-            store.credit(account, 1.0)
-        store.put_aux(7, [4.0, 5.0])
-        for account in range(6):
-            store.remove(account)
-        root_before = store.state_root()
-        store.compact()
-        assert store.state_root() == root_before
-        assert store.aux_of(7).tolist() == [4.0, 5.0]
-
-    def test_aux_is_excluded_from_state_roots(self):
-        plain = StateRegistry(2, backend=BACKEND_DENSE, n_accounts=16)
-        schema = StateRegistry(
-            2, backend=BACKEND_DENSE, n_accounts=16, schema=self.SCHEMA
-        )
-        for reg in (plain, schema):
-            reg.store_of(0).credit(4, 10.0)
-        schema.store_of(0).put_aux(4, [8.0, 9.0])
-        assert (
-            plain.store_of(0).state_root() == schema.store_of(0).state_root()
-        )
-        # And the dict backend hashes the same states to the same root.
-        dict_reg = StateRegistry(2, backend=BACKEND_DICT, schema=self.SCHEMA)
-        dict_reg.store_of(0).credit(4, 10.0)
-        dict_reg.store_of(0).put_aux(4, [8.0, 9.0])
-        assert (
-            dict_reg.store_of(0).state_root()
-            == schema.store_of(0).state_root()
-        )
-
-    def test_aux_carry_matches_dict_backend(self):
-        """Aux payloads follow migration identically on the dict and
-        arena backends (the dict store is the semantic reference)."""
-        regs = (
-            StateRegistry(K, backend=BACKEND_DICT, schema=self.SCHEMA),
-            StateRegistry(
-                K, backend=BACKEND_DENSE, n_accounts=N_ACCOUNTS,
-                schema=self.SCHEMA,
-            ),
-        )
-        rng = np.random.default_rng(5)
-        for reg in regs:
-            for account in range(N_ACCOUNTS):
-                reg.store_of(account % K).credit(account, 1.0 + account)
-        for account in range(0, N_ACCOUNTS, 3):
-            payload = rng.random(1 + account % 6).tolist()
-            for reg in regs:
-                reg.store_of(account % K).put_aux(account, payload)
-        churn = np.arange(0, N_ACCOUNTS, 2, dtype=np.int64)
-        targets = (churn + 1) % K
-        for reg in regs:
-            reg.migrate_batch(churn, targets)
-            reg.compact_stores(min_slack=0.0)
-        for account in range(N_ACCOUNTS):
-            shard = regs[0].locate(account)
-            assert regs[1].locate(account) == shard
-            a = regs[0].store_of(shard).aux_of(account)
-            b = regs[1].store_of(shard).aux_of(account)
-            # The arena copy is padded to its class width; the values
-            # that were stored must match word for word.
-            assert b[: len(a)].tolist() == a.tolist()
-            assert not b[len(a):].any()
-
-
 class TestAdversarialChurnBound:
-    """The arena twin of the reference backend's compaction assertion:
-    scatter-churn the universe across shards, compact, and the state
-    columns must land back inside a churn-independent byte bound."""
+    """Scatter-churn the universe across shards, compact, and the
+    arena columns must land back inside a churn-independent byte
+    bound."""
 
     def test_adversarial_churn_bounds_arena_nbytes(self):
         n_accounts = 5_000
@@ -493,7 +344,7 @@ class TestAdversarialChurnBound:
         assert [s.state_root() for s in registry.stores] == roots_before
         assert registry.total_balance() == n_accounts * 1.0
         assert registry.locate_many(ids).tolist() == [
-            registry.locate_scan(int(a)) for a in ids
+            locate_scan(registry, int(a)) for a in ids
         ]
 
     def test_fragmentation_telemetry_reflects_churn(self):

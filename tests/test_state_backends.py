@@ -19,7 +19,7 @@ from repro.chain.state import (
     BACKEND_DICT,
     STATE_RECORD_BYTES,
     AccountState,
-    DenseShardStateStore,
+    ArenaShardStateStore,
     ShardStateStore,
     StateRegistry,
 )
@@ -155,7 +155,7 @@ class TestDenseFallback:
     """Ids beyond the preallocated capacity spill into the dict fallback."""
 
     def test_sparse_ids_behave_like_dict_store(self):
-        dense = DenseShardStateStore(0, capacity=4)
+        dense = ArenaShardStateStore(0, capacity=4)
         reference = ShardStateStore(0)
         for store in (dense, reference):
             store.credit(2, 10.0)      # in capacity
@@ -179,7 +179,7 @@ class TestDenseFallback:
         assert registry.store_of(1).get(50).balance == 9.0
 
     def test_mixed_write_back_spills_correctly(self):
-        dense = DenseShardStateStore(0, capacity=4)
+        dense = ArenaShardStateStore(0, capacity=4)
         dense.write_back(
             np.array([1, 9]), np.array([5.0, 6.0]), np.array([1, 2])
         )
@@ -205,8 +205,35 @@ class TestMigrationSemantics:
         registry = StateRegistry(3, backend=backend, n_accounts=8)
         assert registry.migrate(5, 0, 1) == 0
 
+    @pytest.mark.parametrize("backend", [BACKEND_DICT, BACKEND_DENSE])
+    def test_batch_with_duplicate_accounts_is_rejected_untouched(
+        self, backend
+    ):
+        """A repeated id must fail before any state moves: taking the
+        same account twice double-frees its slot (dense) or pops it
+        once and then raises mid-batch (dict), losing its balance."""
+        registry = StateRegistry(2, backend=backend, n_accounts=8)
+        registry.store_of(0).credit(1, 5.0)
+        registry.store_of(0).credit(2, 7.0)
+        roots = [s.state_root() for s in registry.stores]
+        lengths = [len(s) for s in registry.stores]
+        with pytest.raises(ValidationError, match="account 1 appears more"):
+            registry.migrate_batch(
+                np.array([1, 1], dtype=np.int64),
+                np.array([1, 1], dtype=np.int64),
+            )
+        assert [s.state_root() for s in registry.stores] == roots
+        assert [len(s) for s in registry.stores] == lengths
+        assert registry.total_balance() == 12.0
+        assert registry.locate(1) == 0
+        # The store is still sound: two fresh accounts get two slots.
+        registry.store_of(0).credit(3, 1.0)
+        registry.store_of(0).credit(4, 1.0)
+        assert registry.total_balance() == 14.0
+        assert registry.store_of(0).get(3).balance == 1.0
+
     def test_remove_raises_chain_error_not_key_error(self):
-        for store in (ShardStateStore(0), DenseShardStateStore(0, capacity=4)):
+        for store in (ShardStateStore(0), ArenaShardStateStore(0, capacity=4)):
             with pytest.raises(ChainError):
                 store.remove(1)
             with pytest.raises(ChainError):
@@ -233,7 +260,7 @@ class TestExactTotals:
         assert registry.total_balance() == 1e16 + 3.0
 
     def test_dense_total_uses_float64_pairwise_sum(self):
-        dense = DenseShardStateStore(0, capacity=1000)
+        dense = ArenaShardStateStore(0, capacity=1000)
         dense.credit_many(
             np.arange(1000), np.full(1000, 0.1, dtype=np.float64)
         )
@@ -244,8 +271,10 @@ class TestExactTotals:
 
 class TestRegistryConstruction:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown state backend"):
-            StateRegistry(2, backend="sqlite")
+        # "dense-ref" named the retired first-fit store.
+        for backend in ("sqlite", "dense-ref"):
+            with pytest.raises(ConfigurationError, match="unknown state backend"):
+                StateRegistry(2, backend=backend)
 
     def test_rejects_negative_capacity(self):
         with pytest.raises(ValidationError):

@@ -221,8 +221,10 @@ class TestResultAggregationRegression:
 
 class TestConfigValidation:
     def test_rejects_unknown_backend(self, engine_params):
-        with pytest.raises(SimulationError, match="state_backend"):
-            SimulationConfig(params=engine_params, state_backend="sqlite")
+        # "dense-ref" named the retired first-fit store.
+        for backend in ("sqlite", "dense-ref"):
+            with pytest.raises(SimulationError, match="state_backend"):
+                SimulationConfig(params=engine_params, state_backend=backend)
 
     def test_rejects_negative_initial_balance(self, engine_params):
         with pytest.raises(SimulationError, match="initial_balance"):
