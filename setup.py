@@ -3,13 +3,6 @@
 Kept as a plain ``setup.py`` so ``pip install -e . --no-build-isolation
 --no-use-pep517`` works in offline environments that lack the ``wheel``
 package (PEP 660 editable installs need it).
-
-The core library needs only numpy. The ``fast`` extra pulls in the
-optional compiled fast paths — numba for the jitted Metis refinement
-kernels (``repro.allocation.metis_like.kernels``) and pyarrow for the
-columnar CSV ingest (``repro.data.arrow``). Both are import-guarded:
-without the extra every knob falls back to the bit-identical
-pure-python reference implementations.
 """
 
 import re
@@ -33,9 +26,6 @@ setup(
     package_dir={"": "src"},
     python_requires=">=3.9",
     install_requires=["numpy"],
-    extras_require={
-        "fast": ["numba>=0.57", "pyarrow>=14"],
-    },
     entry_points={
         "console_scripts": ["repro = repro.cli:main"],
     },

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ def partition_graph(
     seed: int = 0,
     coarsen_target: Optional[int] = None,
     refine_passes: int = 4,
-    compiled_kernels: Union[bool, str] = "auto",
 ) -> PartitionResult:
     """Partition ``graph`` into ``k`` balanced parts, multilevel style.
 
@@ -65,9 +64,6 @@ def partition_graph(
         coarsen_target: stop coarsening when at most this many vertices
             remain (default ``max(16 * k, 64)``).
         refine_passes: refinement passes per level.
-        compiled_kernels: route refinement commit loops through the
-            jitted kernels (``"auto"`` = when numba is available; the
-            result is bit-identical either way).
     """
     if k < 1:
         raise PartitionError(f"k must be >= 1, got {k}")
@@ -134,7 +130,6 @@ def partition_graph(
             adjacency_l, weights_l, assignment_l, k,
             relaxed_cap, max_part_weight, rng_l,
             max_passes=refine_passes,
-            compiled_kernels=compiled_kernels,
         )
 
     coarse_adj, coarse_weights = levels[-1]
@@ -171,12 +166,10 @@ class MetisLikeAllocator(Allocator):
         balance_factor: float = 1.10,
         seed: int = 0,
         refine_passes: int = 4,
-        compiled_kernels: Union[bool, str] = "auto",
     ) -> None:
         self.balance_factor = balance_factor
         self.seed = seed
         self.refine_passes = refine_passes
-        self.compiled_kernels = compiled_kernels
         self._graph = TransactionGraph()
 
     def _partition_to_mapping(
@@ -188,7 +181,6 @@ class MetisLikeAllocator(Allocator):
             balance_factor=self.balance_factor,
             seed=self.seed,
             refine_passes=self.refine_passes,
-            compiled_kernels=self.compiled_kernels,
         )
         if previous is not None:
             assignment = previous.as_array().copy()

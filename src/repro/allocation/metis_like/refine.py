@@ -20,18 +20,15 @@ bit-exactly for the integer-valued edge weights every partitioner
 graph carries — is scattered once per level instead of once per phase.
 
 The sequential *commit* loops (apply moves one vertex at a time with a
-live re-check) have a compiled twin in
-:mod:`repro.allocation.metis_like.kernels`; the ``compiled_kernels``
-knob on the public functions selects it (``"auto"`` = use numba when
-importable). The inline Python loops below are the equivalence
-reference — the kernels are pinned bit-identical to them in
-``tests/test_metis_kernels.py``, so goldens and matrix digests do not
-depend on the knob.
+live re-check) run over Python scalars: the first strictly-better
+target wins, a zero gain never moves a vertex, and a rebalance move
+goes to the lowest-numbered lightest part. Their tie-breaks are pinned
+in ``tests/test_allocation_metis.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -40,11 +37,6 @@ from repro.allocation.metis_like.csr import (
     connection_row,
     csr_from_adjacency,
     cut_weight_csr,
-)
-from repro.allocation.metis_like.kernels import (
-    rebalance_commit,
-    refine_commit,
-    resolve_compiled,
 )
 
 __all__ = [
@@ -102,7 +94,6 @@ def _refine_passes(
     max_part_weight: float,
     max_passes: int,
     state: _LevelState,
-    compiled: bool = False,
 ) -> np.ndarray:
     n = csr.n
     loads = part_loads(vertex_weights, assignment, k)
@@ -116,14 +107,10 @@ def _refine_passes(
     connection = (
         None if connection_flat is None else connection_flat.reshape(n, k)
     )
-    if compiled:
-        weights_f = np.ascontiguousarray(vertex_weights, dtype=np.float64)
-        no_dirty = np.zeros(0, dtype=np.bool_)
-    else:
-        loads_l = loads.tolist()
-        counts_l = part_counts.tolist()
-        weights_l = vertex_weights.tolist()
-        assignment_l = assignment.tolist()
+    loads_l = loads.tolist()
+    counts_l = part_counts.tolist()
+    weights_l = vertex_weights.tolist()
+    assignment_l = assignment.tolist()
 
     for _pass in range(max_passes):
         if connection is None:
@@ -166,34 +153,6 @@ def _refine_passes(
         if len(movers) == 0:
             break
         movers = movers[np.lexsort((movers, -best_gain[movers]))]
-        if compiled:
-            # Same commit loop, compiled: kernels.refine_commit updates
-            # assignment/loads/part_counts (and, for integral weights,
-            # connection_flat) in place with identical arithmetic.
-            dirty_rows = no_dirty if integral else np.zeros(n, dtype=np.bool_)
-            improved = bool(
-                refine_commit(
-                    movers,
-                    assignment,
-                    loads,
-                    part_counts,
-                    weights_f,
-                    connection_flat,
-                    csr.indptr,
-                    csr.indices,
-                    csr.weights,
-                    k,
-                    float(max_part_weight),
-                    integral,
-                    dirty_rows,
-                )
-            )
-            if not integral:
-                connection = None
-                connection_flat = None
-            if not improved:
-                break
-            continue
         improved = False
         # Commit loop over Python scalars: the synchronous scan above
         # already computed every mover's connection row, so the live
@@ -266,7 +225,6 @@ def refine_partition(
     rng: np.random.Generator,
     max_passes: int = 4,
     edge_rows: Optional[np.ndarray] = None,
-    compiled_kernels: Union[bool, str] = "auto",
 ) -> np.ndarray:
     """Improve ``assignment`` in place with boundary moves; return it.
 
@@ -277,8 +235,6 @@ def refine_partition(
     Moves that would empty a part are skipped so the partition always
     covers all ``k`` parts when it started that way. ``rng`` is accepted
     for interface stability; the pass order is fully deterministic.
-    ``compiled_kernels`` selects the jitted commit loop (bit-identical;
-    see :mod:`repro.allocation.metis_like.kernels`).
     """
     csr = csr_from_adjacency(adjacency)
     if csr.n == 0:
@@ -286,8 +242,7 @@ def refine_partition(
     _ = rng
     state = _LevelState(csr, k, edge_rows)
     return _refine_passes(
-        csr, vertex_weights, assignment, k, max_part_weight, max_passes, state,
-        compiled=resolve_compiled(compiled_kernels),
+        csr, vertex_weights, assignment, k, max_part_weight, max_passes, state
     )
 
 
@@ -299,17 +254,11 @@ def _rebalance_passes(
     max_part_weight: float,
     max_passes: int,
     state: _LevelState,
-    compiled: bool = False,
 ) -> np.ndarray:
     n = csr.n
     loads = part_loads(vertex_weights, assignment, k)
     edge_rows = state.edge_rows
     moved_total = 0
-    weights_f = (
-        np.ascontiguousarray(vertex_weights, dtype=np.float64)
-        if compiled
-        else None
-    )
     for _pass in range(max_passes):
         overweight = [p for p in range(k) if loads[p] > max_part_weight]
         if not overweight:
@@ -348,24 +297,6 @@ def _rebalance_passes(
                 )
             costs = internal[members] - best_external[members]
             candidates = members[np.argsort(costs, kind="stable")]
-            if compiled:
-                # Same drain loop, compiled: assignment and loads are
-                # updated in place with identical arithmetic and the
-                # identical argmin tie-break.
-                moved = int(
-                    rebalance_commit(
-                        candidates,
-                        assignment,
-                        loads,
-                        weights_f,
-                        part,
-                        float(max_part_weight),
-                    )
-                )
-                if moved:
-                    moved_any = True
-                    moved_total += moved
-                continue
             for u in candidates:
                 u = int(u)
                 if loads[part] <= max_part_weight:
@@ -400,7 +331,6 @@ def rebalance(
     rng: np.random.Generator,
     max_passes: int = 4,
     edge_rows: Optional[np.ndarray] = None,
-    compiled_kernels: Union[bool, str] = "auto",
 ) -> np.ndarray:
     """Push parts back under ``max_part_weight`` with minimum-loss moves.
 
@@ -409,7 +339,6 @@ def rebalance(
     lightest feasible part, preferring vertices whose move loses the
     least cut quality (internal connection minus the heaviest external
     edge, evaluated in one vectorised pass per overweight part).
-    ``compiled_kernels`` selects the jitted drain loop (bit-identical).
     """
     csr = csr_from_adjacency(adjacency)
     if csr.n == 0:
@@ -417,8 +346,7 @@ def rebalance(
     _ = rng
     state = _LevelState(csr, k, edge_rows)
     return _rebalance_passes(
-        csr, vertex_weights, assignment, k, max_part_weight, max_passes, state,
-        compiled=resolve_compiled(compiled_kernels),
+        csr, vertex_weights, assignment, k, max_part_weight, max_passes, state
     )
 
 
@@ -431,7 +359,6 @@ def polish_level(
     strict_cap: float,
     rng: np.random.Generator,
     max_passes: int = 4,
-    compiled_kernels: Union[bool, str] = "auto",
 ) -> np.ndarray:
     """One level's full polish: relaxed refine, rebalance, strict refine.
 
@@ -442,24 +369,18 @@ def polish_level(
     weights) the live connection matrix carries over whenever rebalance
     moved nothing; rebalance moves invalidate it, as one rebuild is
     cheaper than scattering its potentially thousands of moves.
-    ``compiled_kernels`` routes all three phases' sequential commit
-    loops through the jitted kernels (bit-identical either way).
     """
     csr = csr_from_adjacency(adjacency)
     if csr.n == 0:
         return assignment
     _ = rng
-    compiled = resolve_compiled(compiled_kernels)
     state = _LevelState(csr, k)
     assignment = _refine_passes(
-        csr, vertex_weights, assignment, k, relaxed_cap, max_passes, state,
-        compiled=compiled,
+        csr, vertex_weights, assignment, k, relaxed_cap, max_passes, state
     )
     assignment = _rebalance_passes(
-        csr, vertex_weights, assignment, k, strict_cap, max_passes, state,
-        compiled=compiled,
+        csr, vertex_weights, assignment, k, strict_cap, max_passes, state
     )
     return _refine_passes(
-        csr, vertex_weights, assignment, k, strict_cap, max_passes, state,
-        compiled=compiled,
+        csr, vertex_weights, assignment, k, strict_cap, max_passes, state
     )

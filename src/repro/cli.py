@@ -142,7 +142,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
             args.input,
             poll_interval=args.follow_poll,
             idle_timeout=args.follow_idle,
-            decoder=args.decoder,
         )
         print(
             f"following {args.input} (poll {args.follow_poll}s, "
@@ -165,7 +164,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
         if args.input:
             from repro.data.source import CsvTraceSource
 
-            source = CsvTraceSource(args.input, decoder=args.decoder)
+            source = CsvTraceSource(args.input)
             print(f"windowed replay of {args.input} (chunked decode)")
         else:
             from repro.data.source import GeneratorTraceSource
@@ -176,15 +175,13 @@ def _command_simulate(args: argparse.Namespace) -> int:
     else:
         if args.input:
             if args.streamed:
-                from repro.data.arrow import resolve_decoder
                 from repro.data.source import CsvTraceSource
 
-                source = CsvTraceSource(args.input, decoder=args.decoder)
+                source = CsvTraceSource(args.input)
                 trace = source.materialise()
                 print(
                     f"streamed {len(trace):,} transactions from {args.input} "
-                    f"({resolve_decoder(args.decoder)} decoder, "
-                    f"peak buffer {source.peak_buffer_rows:,} rows)"
+                    f"(peak buffer {source.peak_buffer_rows:,} rows)"
                 )
             else:
                 trace, _registry = read_transactions_csv(args.input)
@@ -433,9 +430,7 @@ def _command_matrix(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        matrix = etl_smoke_matrix(
-            str(fixture), seed=args.seed, decoder=args.decoder
-        )
+        matrix = etl_smoke_matrix(str(fixture), seed=args.seed)
         if engine_modes != ("metrics",):
             matrix = with_engine_modes(matrix, engine_modes)
     elif args.realloc_smoke:
@@ -481,7 +476,7 @@ def _command_matrix(args: argparse.Namespace) -> int:
     # silently ignored — `--etl-smoke --funding uniform` really runs
     # the legacy uniform supply.
     if trace_source is not None:
-        matrix = with_trace_source(matrix, trace_source, decoder=args.decoder)
+        matrix = with_trace_source(matrix, trace_source)
     if args.funding is not None:
         matrix = with_funding(matrix, args.funding)
     if args.network != "ideal":
@@ -527,37 +522,14 @@ def _command_matrix(args: argparse.Namespace) -> int:
     return 1 if result.failures else 0
 
 
-def _print_compiled_env() -> None:
-    from repro.allocation.metis_like import kernels
-    from repro.data import arrow
-    from repro.experiments import compiled_env
-
-    env = compiled_env()
-    print(f"metis kernels : {kernels.describe()}")
-    print(f"csv ingest    : {arrow.describe()}")
-    print(
-        "fast extra    : "
-        + (
-            "complete"
-            if env["numba"] and env["pyarrow"]
-            else "incomplete — pip install 'repro[fast]' for the "
-            "compiled paths"
-        )
-    )
-
-
 def _command_bench(args: argparse.Namespace) -> int:
     from repro.experiments import cell_delta_rows, run_bench
 
-    if args.env:
-        _print_compiled_env()
-        return 0
     print(
         "running the Table II benchmark workload "
         f"({args.workers} worker(s)) + executor/reconfig/refine "
         "microbenches + smoke grid"
     )
-    _print_compiled_env()
     payload = run_bench(path=args.output, workers=args.workers)
     print(f"\nsnapshot written to {args.output}")
     print(f"total_seconds   : {payload['total_seconds']}")
@@ -569,19 +541,13 @@ def _command_bench(args: argparse.Namespace) -> int:
             f"batch vs {payload['reconfig_seconds_object_1m']}s object"
         )
     if "ingest_seconds_streamed_1m" in payload:
-        line = (
+        print(
             f"ingest 1M       : {payload['ingest_seconds_streamed_1m']}s "
             f"streamed vs {payload['ingest_seconds_materialised_1m']}s "
             "materialised"
         )
-        if "ingest_seconds_arrow_1m" in payload:
-            line += f" vs {payload['ingest_seconds_arrow_1m']}s arrow"
-        print(line)
     if "refine_seconds_python" in payload:
-        line = f"refine          : {payload['refine_seconds_python']}s python"
-        if "refine_seconds_jit" in payload:
-            line += f" vs {payload['refine_seconds_jit']}s jit"
-        print(line)
+        print(f"refine          : {payload['refine_seconds_python']}s python")
     if "churn_seconds_arena_1m" in payload:
         print(
             f"churn 1M        : {payload['churn_seconds_arena_1m']}s dense, "
@@ -721,14 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         "CsvTraceSource instead of the eager reader",
     )
     simulate.add_argument(
-        "--decoder",
-        default="auto",
-        choices=("python", "arrow", "auto"),
-        help="row decoder for --streamed: python reference loop, "
-        "arrow columnar fast path, or auto-detect (both are "
-        "bit-identical)",
-    )
-    simulate.add_argument(
         "--windowed",
         action="store_true",
         help="run the O(window) streaming engine instead of "
@@ -801,13 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--workers", type=int, default=1, help="process count (1 = sequential)"
-    )
-    bench.add_argument(
-        "--env",
-        action="store_true",
-        help="report which compiled fast paths (numba kernels, arrow "
-        "decoder) are active in this environment, without running "
-        "the benchmark",
     )
     bench.set_defaults(handler=_command_bench)
 
@@ -890,14 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace-source axis: 'synthetic' (default) generates the "
         "grid's trace; a CSV path replays that ethereum-etl extract "
         "through the chunked streamed decoder instead",
-    )
-    matrix.add_argument(
-        "--decoder",
-        default="auto",
-        choices=("python", "arrow", "auto"),
-        help="row decoder for CSV trace sources (--trace-source / "
-        "--etl-smoke): python reference, arrow columnar, or "
-        "auto-detect",
     )
     matrix.add_argument(
         "--windowed",

@@ -101,8 +101,8 @@ class _RowDecoder:
     def has_fees(self) -> bool:
         return self._fee_idx is not None
 
-    # Column positions, exposed for the columnar (arrow) decoder so both
-    # paths resolve duplicated headers to the same first occurrence.
+    # Column positions, read by _BlockDecoder so the block and row paths
+    # resolve duplicated headers to the same first occurrence.
 
     @property
     def block_index(self) -> int:

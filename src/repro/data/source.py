@@ -35,17 +35,10 @@ import numpy as np
 
 from repro.chain.account import AccountRegistry
 from repro.chain.transaction import TransactionBatch
-from repro.data.arrow import (
-    DECODER_ARROW,
-    DECODERS,
-    ArrowDecodeAnomaly,
-    arrow_chunks,
-    resolve_decoder,
-)
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import _BlockDecoder, _RowDecoder
 from repro.data.trace import EpochView, Trace
-from repro.errors import ConfigurationError, DataError, MalformedRowError
+from repro.errors import DataError, MalformedRowError
 
 #: Default rows per decoded chunk (~1.5 MB of column data at 5 columns).
 DEFAULT_CHUNK_ROWS = 65_536
@@ -221,14 +214,6 @@ class CsvTraceSource(TraceSource):
     the column — :meth:`TransactionBatch.concat_many` re-materialises
     the skipped leading zeros, so the assembled trace is identical to
     the eager read.
-
-    ``decoder`` selects the decode implementation: ``"python"`` is
-    the block decoder above, ``"arrow"`` the columnar pyarrow path
-    (:mod:`repro.data.arrow`), and ``"auto"`` picks arrow exactly when
-    pyarrow is installed. Both produce bit-identical chunk streams,
-    ids, and typed errors; the arrow path falls back to (or replays
-    through) the python path whenever it meets input it cannot decode
-    verbatim, so consumers never observe a difference.
     """
 
     def __init__(
@@ -236,72 +221,18 @@ class CsvTraceSource(TraceSource):
         path: Union[str, Path],
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
         registry: Optional[AccountRegistry] = None,
-        decoder: str = "auto",
     ) -> None:
         if chunk_rows < 1:
             raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        if decoder not in DECODERS:
-            raise DataError(
-                f"decoder must be one of {DECODERS}, got {decoder!r}"
-            )
         self.path = Path(path)
         self.chunk_rows = int(chunk_rows)
         self.registry = registry if registry is not None else AccountRegistry()
-        self.decoder = decoder
         self.name = self.path.name
         self.peak_buffer_rows = 0
         #: Blocks the last decode re-read row by row (see _BlockDecoder).
         self.fallback_blocks = 0
 
     def chunks(self) -> Iterator[TransactionBatch]:
-        if resolve_decoder(self.decoder) != DECODER_ARROW:
-            yield from self._python_chunks()
-            return
-        yielded = False
-        stream = arrow_chunks(self)
-        while True:
-            try:
-                chunk = next(stream)
-            except StopIteration:
-                return
-            except ArrowDecodeAnomaly as anomaly:
-                if not yielded:
-                    # Nothing emitted yet: the reference decoder takes
-                    # over seamlessly — registration is idempotent and
-                    # the arrow path registered a correct prefix in the
-                    # same first-seen order, so ids are unaffected.
-                    yield from self._python_chunks()
-                    return
-                self._raise_reference_error(anomaly)
-            else:
-                yielded = True
-                yield chunk
-
-    def _raise_reference_error(self, anomaly: ArrowDecodeAnomaly) -> None:
-        """Replay the file through the python decoder to surface its error.
-
-        Mid-stream arrow anomalies cannot name a line number; the
-        reference decode (against a throwaway registry) raises the
-        contract's typed error instead. A replay that *succeeds* means
-        the fast path rejected input the reference accepts — reported
-        explicitly rather than silently re-emitting a stream the
-        consumer already partially saw.
-        """
-        replay = CsvTraceSource(
-            self.path,
-            chunk_rows=self.chunk_rows,
-            registry=AccountRegistry(),
-            decoder="python",
-        )
-        for _ in replay.chunks():
-            pass
-        raise DataError(
-            f"{self.path}: arrow decoder aborted mid-stream ({anomaly}) but "
-            "the python decoder accepts this file; re-run with "
-            "decoder='python'"
-        ) from anomaly
-
-    def _python_chunks(self) -> Iterator[TransactionBatch]:
         decoder = _BlockDecoder(
             self.path, self.registry, self.chunk_rows, check_order=True
         )
@@ -374,14 +305,6 @@ class FollowCsvTraceSource(TraceSource):
     ``unbounded = True``: no consumer may run a sizing pass over this
     source, so the streaming engine requires ``history_epochs`` (the
     absolute history split) and metrics-only execution for it.
-
-    ``decoder`` exists for signature parity with
-    :class:`CsvTraceSource` but only the python reference decoder can
-    follow a file: the arrow path decodes whole record batches from a
-    finished file, while tailing is line-oriented — each poll must stop
-    at the last complete row and resume mid-file. Requesting
-    ``"arrow"`` is therefore a configuration error, not a silent
-    fallback; ``"auto"`` resolves to python.
     """
 
     unbounded = True
@@ -393,7 +316,6 @@ class FollowCsvTraceSource(TraceSource):
         registry: Optional[AccountRegistry] = None,
         poll_interval: float = 0.2,
         idle_timeout: float = 10.0,
-        decoder: str = "auto",
     ) -> None:
         if chunk_rows < 1:
             raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -403,24 +325,11 @@ class FollowCsvTraceSource(TraceSource):
             )
         if idle_timeout <= 0:
             raise DataError(f"idle_timeout must be > 0, got {idle_timeout}")
-        if decoder not in DECODERS:
-            raise DataError(
-                f"decoder must be one of {DECODERS}, got {decoder!r}"
-            )
-        if decoder == DECODER_ARROW:
-            raise ConfigurationError(
-                "a followed CSV decodes with the python reference "
-                "decoder only: tailing reads line by line and must stop "
-                "at the last complete row, which the arrow record-batch "
-                "reader cannot do; drop decoder='arrow' (or pass "
-                "'python'/'auto')"
-            )
         self.path = Path(path)
         self.chunk_rows = int(chunk_rows)
         self.registry = registry if registry is not None else AccountRegistry()
         self.poll_interval = float(poll_interval)
         self.idle_timeout = float(idle_timeout)
-        self.decoder = decoder
         self.name = f"follow:{self.path.name}"
         self.peak_buffer_rows = 0
 

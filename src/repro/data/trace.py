@@ -54,11 +54,7 @@ class Trace:
         return len(self.batch)
 
     @classmethod
-    def from_source(
-        cls,
-        source: "TraceSource",  # noqa: F821
-        decoder: Optional[str] = None,
-    ) -> "Trace":
+    def from_source(cls, source: "TraceSource") -> "Trace":  # noqa: F821
         """Materialise a :class:`~repro.data.source.TraceSource`.
 
         A trace is a thin materialised view over a source: this is the
@@ -66,19 +62,7 @@ class Trace:
         streamed input (chunked CSV decode, generator output) without
         change. Streaming consumers use
         :class:`~repro.data.source.EpochStream` instead.
-
-        ``decoder`` overrides the source's decode implementation
-        (``"python"``/``"arrow"``/``"auto"``) for sources that carry a
-        decoder knob (:class:`~repro.data.source.CsvTraceSource`);
-        passing it for any other source raises :class:`DataError`.
         """
-        if decoder is not None:
-            if not hasattr(source, "decoder"):
-                raise DataError(
-                    f"source {source.name!r} has no decoder knob "
-                    "(only CSV sources decode rows)"
-                )
-            source.decoder = decoder
         return source.materialise()
 
     @property

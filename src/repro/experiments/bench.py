@@ -386,20 +386,18 @@ def ingest_microbench(
     decode:
     ``mode="materialised"`` is the eager reader
     (:func:`repro.data.etl.read_transactions_csv`, whole-file Python
-    lists then one sort), ``mode="streamed"`` the chunked bounded-memory
-    :class:`~repro.data.source.CsvTraceSource` decode, and
-    ``mode="arrow"`` the same chunked source through the pyarrow
-    columnar decoder (requires pyarrow). The results feed the
-    snapshot's ``ingest_seconds_{materialised,streamed,arrow}_1m``
-    entries and the CI gate.
+    lists then one sort) and ``mode="streamed"`` the chunked
+    bounded-memory :class:`~repro.data.source.CsvTraceSource` decode.
+    The results feed the snapshot's
+    ``ingest_seconds_{materialised,streamed}_1m`` entries and the CI
+    gate.
     """
     from repro.data.etl import read_transactions_csv
     from repro.data.source import CsvTraceSource
 
-    if mode not in ("streamed", "materialised", "arrow"):
+    if mode not in ("streamed", "materialised"):
         raise ExperimentError(
-            f"mode must be 'streamed', 'materialised' or 'arrow', "
-            f"got {mode!r}"
+            f"mode must be 'streamed' or 'materialised', got {mode!r}"
         )
     path = _valued_extract(n_rows, path)
     # Untimed warm read: both modes measure decode work against a warm
@@ -409,13 +407,7 @@ def ingest_microbench(
             pass
     started = time.perf_counter()
     if mode == "streamed":
-        CsvTraceSource(
-            path, chunk_rows=chunk_rows, decoder="python"
-        ).materialise()
-    elif mode == "arrow":
-        CsvTraceSource(
-            path, chunk_rows=chunk_rows, decoder="arrow"
-        ).materialise()
+        CsvTraceSource(path, chunk_rows=chunk_rows).materialise()
     else:
         read_transactions_csv(path)
     return time.perf_counter() - started
@@ -472,7 +464,7 @@ def memory_microbench(
         params=ProtocolParams(k=8, tau=tau, seed=7),
         history_epochs=history_epochs,
     )
-    source = CsvTraceSource(csv_path, chunk_rows=chunk_rows, decoder="python")
+    source = CsvTraceSource(csv_path, chunk_rows=chunk_rows)
     tracemalloc.start()
     try:
         if mode == "windowed":
@@ -487,7 +479,6 @@ def memory_microbench(
 
 
 def refine_microbench(
-    compiled: bool = False,
     repeats: int = 3,
     k: int = 16,
     seed: int = 42,
@@ -497,10 +488,10 @@ def refine_microbench(
 
     Builds the accumulated account graph of the benchmark trace
     (untimed — the same graph the ``metis/bench`` matrix cells
-    repartition every epoch), runs one untimed warmup call (absorbing
-    numba compilation when ``compiled``), then times ``repeats``
-    :func:`partition_graph` calls and reports the median. Feeds the
-    snapshot's ``refine_seconds_{python,jit}`` entries and the CI gate.
+    repartition every epoch), runs one untimed warmup call, then times
+    ``repeats`` :func:`partition_graph` calls and reports the median.
+    Feeds the snapshot's ``refine_seconds_python`` entry and the CI
+    gate.
     """
     from repro.allocation.graph import TransactionGraph
     from repro.allocation.metis_like import partition_graph
@@ -509,32 +500,23 @@ def refine_microbench(
     graph = TransactionGraph.from_batch(
         trace.batch, n_accounts=trace.n_accounts
     )
-    partition_graph(graph, k, seed=seed, compiled_kernels=compiled)
+    partition_graph(graph, k, seed=seed)
     timings = []
     for _ in range(max(1, repeats)):
         started = time.perf_counter()
-        partition_graph(graph, k, seed=seed, compiled_kernels=compiled)
+        partition_graph(graph, k, seed=seed)
         timings.append(time.perf_counter() - started)
     return median(timings)
 
 
 def compiled_env() -> Dict[str, str]:
-    """Which compiled fast paths are active in this interpreter.
+    """The implementation behind each hot layer, for run manifests.
 
-    The dict feeds the snapshot's ``compiled`` entry and the
-    ``repro bench --env`` report, so a recorded timing always says
-    whether it was measured with the jitted kernels / arrow decoder or
-    on the pure-python reference paths.
+    Metis refinement and CSV decode each have one implementation, so
+    this is a constant; it stays in the snapshot's ``compiled`` entry
+    and the perfbench manifest so records compare across versions.
     """
-    from repro.allocation.metis_like import kernels
-    from repro.data import arrow
-
-    return {
-        "numba": kernels.numba_version(),
-        "pyarrow": arrow.pyarrow_version(),
-        "metis_kernels": "jit" if kernels.NUMBA_AVAILABLE else "python",
-        "csv_decoder": "arrow" if arrow.PYARROW_AVAILABLE else "python",
-    }
+    return {"metis_kernels": "python", "csv_decoder": "python"}
 
 
 def cell_delta_rows(
@@ -704,18 +686,7 @@ def run_bench(
     # ordering cannot hand either mode a page-cache advantage.
     ingest_materialised_1m = ingest_microbench(mode="materialised")
     ingest_streamed_1m = ingest_microbench(mode="streamed")
-    env = compiled_env()
-    refine_python = refine_microbench(compiled=False)
-    refine_jit = (
-        refine_microbench(compiled=True)
-        if env["metis_kernels"] == "jit"
-        else None
-    )
-    ingest_arrow_1m = (
-        ingest_microbench(mode="arrow")
-        if env["csv_decoder"] == "arrow"
-        else None
-    )
+    refine_python = refine_microbench()
     # The netsim trio shares one workload; each mode is a median of 3
     # fresh-executor runs, so the overhead ratios compare like to like.
     netsim_direct = netsim_microbench(mode="direct")
@@ -761,14 +732,9 @@ def run_bench(
         "movement), per migration path",
         "ingest_seconds_{materialised,streamed}_1m: decode a 1M-row "
         "valued ethereum-etl CSV into a Trace, eager reader vs chunked "
-        "bounded-memory CsvTraceSource (python reference decoder)",
-        "ingest_seconds_arrow_1m: the same chunked decode through the "
-        "pyarrow columnar fast path (recorded only when pyarrow is "
-        "installed)",
-        "refine_seconds_{python,jit}: one full multilevel partition of "
-        "the benchmark account graph, reference loops vs numba kernels "
-        "(jit recorded only when numba is installed); bit-identical "
-        "assignments either way",
+        "bounded-memory CsvTraceSource",
+        "refine_seconds_python: one full multilevel partition of the "
+        "benchmark account graph",
         "netsim_seconds_{direct,ideal,wan}: the executor workload with "
         "no network layer vs the ideal null bus vs the degraded-WAN "
         "model (median of 3); netsim_overhead_{ideal,wan} are the "
@@ -813,7 +779,7 @@ def run_bench(
             payload["speedup_vs_reference"] = round(
                 float(ref_total) / total_seconds, 2
             )
-    payload["compiled"] = env
+    payload["compiled"] = compiled_env()
     payload["kernel_seconds"] = round(kernel_seconds, 3)
     payload["kernel_seconds_dict_1m"] = round(kernel_dict_1m, 3)
     payload["kernel_seconds_dense_1m"] = round(kernel_dense_1m, 3)
@@ -822,10 +788,6 @@ def run_bench(
     payload["ingest_seconds_materialised_1m"] = round(ingest_materialised_1m, 3)
     payload["ingest_seconds_streamed_1m"] = round(ingest_streamed_1m, 3)
     payload["refine_seconds_python"] = round(refine_python, 3)
-    if refine_jit is not None:
-        payload["refine_seconds_jit"] = round(refine_jit, 3)
-    if ingest_arrow_1m is not None:
-        payload["ingest_seconds_arrow_1m"] = round(ingest_arrow_1m, 3)
     payload["churn_seconds_arena_1m"] = round(churn_arena["seconds"], 3)
     payload["churn_moved_mb_arena_1m"] = round(churn_arena["compact_moved_mb"], 3)
     payload["churn_compactions_arena_1m"] = churn_arena["compactions"]

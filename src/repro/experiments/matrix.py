@@ -78,17 +78,11 @@ class TraceSpec:
     :meth:`build` materialises the same :class:`Trace` every time, so
     cells sharing a spec share a cached trace and grids stay
     deterministic.
-
-    ``decoder`` (CSV specs only) picks the row-decode implementation —
-    python reference, arrow columnar, or auto-detect. Both decoders are
-    bit-identical, so the choice never changes a cell's results, only
-    the ingest wall-clock.
     """
 
     name: str
     config: Optional[EthereumTraceConfig] = None
     etl_path: Optional[str] = None
-    decoder: str = "auto"
 
     def __post_init__(self) -> None:
         if (self.config is None) == (self.etl_path is None):
@@ -96,27 +90,13 @@ class TraceSpec:
                 f"trace spec {self.name!r} needs exactly one of "
                 "config (synthetic) or etl_path (CSV replay)"
             )
-        from repro.data.arrow import DECODERS
-
-        if self.decoder not in DECODERS:
-            raise ConfigurationError(
-                f"trace spec {self.name!r}: decoder must be one of "
-                f"{DECODERS}, got {self.decoder!r}"
-            )
-        if self.decoder != "auto" and self.etl_path is None:
-            raise ConfigurationError(
-                f"trace spec {self.name!r}: decoder applies only to "
-                "etl_path specs (synthetic traces decode nothing)"
-            )
 
     def build(self) -> "Trace":  # noqa: F821 - runtime import below
         """Materialise this spec's trace (generator or streamed ETL)."""
         if self.etl_path is not None:
             from repro.data.source import CsvTraceSource
 
-            return CsvTraceSource(
-                self.etl_path, decoder=self.decoder
-            ).materialise()
+            return CsvTraceSource(self.etl_path).materialise()
         from repro.data.ethereum import generate_ethereum_like_trace
 
         return generate_ethereum_like_trace(self.config)
@@ -131,7 +111,7 @@ class TraceSpec:
         if self.etl_path is not None:
             from repro.data.source import CsvTraceSource
 
-            return CsvTraceSource(self.etl_path, decoder=self.decoder)
+            return CsvTraceSource(self.etl_path)
         from repro.data.source import GeneratorTraceSource
 
         return GeneratorTraceSource(self.config)
@@ -483,9 +463,7 @@ def valued_trace(
     return TraceSpec(name=name, config=replace(spec.config, value_model=model))
 
 
-def etl_smoke_matrix(
-    etl_path: str, seed: int = 0, decoder: str = "auto"
-) -> ScenarioMatrix:
+def etl_smoke_matrix(etl_path: str, seed: int = 0) -> ScenarioMatrix:
     """One streamed value-faithful executed cell for CI.
 
     The trace comes from an ethereum-etl CSV through the chunked
@@ -497,9 +475,7 @@ def etl_smoke_matrix(
     return ScenarioMatrix(
         name="etl-smoke",
         methods=("mosaic-pilot",),
-        traces=(
-            TraceSpec(name="etl-fixture", etl_path=etl_path, decoder=decoder),
-        ),
+        traces=(TraceSpec(name="etl-fixture", etl_path=etl_path),),
         ks=(4,),
         tau=40,
         seed=seed,
@@ -517,21 +493,15 @@ def with_trace_source(
     matrix: ScenarioMatrix,
     etl_path: str,
     name: str = "etl",
-    decoder: str = "auto",
 ) -> ScenarioMatrix:
     """A copy of ``matrix`` replaying an ETL CSV instead of its traces.
 
     This is the ``repro matrix --trace-source`` axis: the grid's
     methods/parameters stay as declared while every cell draws its
-    transactions (and value columns) from the extract at ``etl_path``,
-    decoded through ``decoder`` (python reference / arrow columnar /
-    auto).
+    transactions (and value columns) from the extract at ``etl_path``.
     """
     return replace(
-        matrix,
-        traces=(
-            TraceSpec(name=name, etl_path=str(etl_path), decoder=decoder),
-        ),
+        matrix, traces=(TraceSpec(name=name, etl_path=str(etl_path)),)
     )
 
 

@@ -12,7 +12,12 @@ from repro.allocation.metis_like.coarsen import (
     heavy_edge_matching,
 )
 from repro.allocation.metis_like.initial import greedy_initial_partition
-from repro.allocation.metis_like.refine import cut_weight, refine_partition
+from repro.allocation.metis_like.refine import (
+    cut_weight,
+    part_loads,
+    rebalance,
+    refine_partition,
+)
 from repro.chain.params import ProtocolParams
 from repro.errors import PartitionError
 
@@ -96,6 +101,66 @@ class TestRefinement:
         )
         after = cut_weight(adjacency, refined)
         assert after <= before
+
+
+def symmetric_adjacency(n, edges):
+    """List-of-dicts adjacency for undirected ``(u, v, weight)`` edges."""
+    adjacency = [{} for _ in range(n)]
+    for u, v, weight in edges:
+        adjacency[u][v] = weight
+        adjacency[v][u] = weight
+    return adjacency
+
+
+class TestCommitTieBreaks:
+    """The documented tie-breaks of the sequential commit loops."""
+
+    def test_refine_first_strictly_better_target_wins(self):
+        # Vertex 0 (part 0, which can shrink: vertex 3 stays) is equally
+        # attracted to parts 1 and 2. Equal gain must not displace the
+        # first target, so it lands in part 1, never part 2.
+        adjacency = symmetric_adjacency(4, [(0, 1, 2.0), (0, 2, 2.0)])
+        refined = refine_partition(
+            adjacency, np.ones(4), np.array([0, 1, 2, 0]), 3, 10.0,
+            np.random.default_rng(0),
+        )
+        assert refined.tolist() == [1, 1, 2, 0]
+
+    def test_refine_zero_gain_never_moves(self):
+        # Vertex 0 scans with gain 2 (connection 3 to part 1 vs 1 to
+        # part 0), but vertex 1 commits first (gain 4) and joins part 0,
+        # which leaves vertex 0's live gain at exactly zero: it stays.
+        adjacency = symmetric_adjacency(
+            5, [(0, 1, 1.0), (0, 2, 2.0), (0, 3, 1.0), (1, 4, 3.0)]
+        )
+        refined = refine_partition(
+            adjacency, np.ones(5), np.array([0, 1, 1, 0, 0]), 2, 10.0,
+            np.random.default_rng(0),
+        )
+        assert refined.tolist() == [0, 0, 1, 0, 0]
+
+    def test_rebalance_load_tie_resolves_to_lowest_part(self):
+        # Part 0 is overweight; parts 1 and 2 are equally light, so the
+        # argmin tie-break sends the first mover to part 1.
+        weights = np.array([2.5, 2.5, 1.0, 1.0])
+        balanced = rebalance(
+            symmetric_adjacency(4, []), weights, np.array([0, 0, 1, 2]),
+            3, 3.0, np.random.default_rng(0), max_passes=1,
+        )
+        assert balanced.tolist() == [1, 0, 1, 2]
+        assert part_loads(weights, balanced, 3).tolist() == [2.5, 3.5, 1.0]
+
+    def test_rebalance_stops_when_part_is_lightest(self):
+        # Both parts exceed the cap. Part 0 is already the lightest, so
+        # it keeps its vertices; part 1 drains one vertex into part 0
+        # and stops as soon as it becomes the lightest itself.
+        weights = np.array([0.5, 0.5, 2.5, 2.5])
+        balanced = rebalance(
+            symmetric_adjacency(4, []), weights, np.array([0, 0, 1, 1]),
+            2, 0.5, np.random.default_rng(0), max_passes=1,
+        )
+        assert balanced.tolist() == [0, 0, 0, 1]
+        assert part_loads(weights, balanced, 2).tolist() == [3.5, 2.5]
 
 
 class TestPartitionGraph:

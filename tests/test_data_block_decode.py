@@ -184,7 +184,7 @@ def test_block_decoder_matches_row_oracle(
 
     want_registry = AccountRegistry()
     want = capture(lambda: row_chunks(path, want_registry, chunk_rows))
-    source = CsvTraceSource(path, chunk_rows=chunk_rows, decoder="python")
+    source = CsvTraceSource(path, chunk_rows=chunk_rows)
     got = capture(source.chunks)
     assert got[1] == want[1]
     assert_chunks_equal(got[0], want[0])

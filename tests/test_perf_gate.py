@@ -15,8 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.allocation.metis_like.kernels import NUMBA_AVAILABLE
-from repro.data.arrow import PYARROW_AVAILABLE
 from repro.errors import ExperimentError
 from repro.experiments import check_against_baseline, executor_microbench
 from repro.experiments.bench import (
@@ -142,23 +140,6 @@ class TestCommittedSnapshot:
             f"over the object path ({object_1m}s)"
         )
 
-    def test_snapshot_jit_refine_holds_5x_over_python(self):
-        """The jitted commit kernels must stay >= 5x faster than the
-        reference loops on the benchmark partition (recorded only when
-        the snapshot was taken with numba installed)."""
-        baseline = load_baseline(BASELINE_PATH)
-        refine_python = baseline.get("refine_seconds_python")
-        refine_jit = baseline.get("refine_seconds_jit")
-        if refine_python is None or refine_jit is None:
-            pytest.skip("snapshot predates (or lacks numba for) the "
-                        "refine entries")
-        assert isinstance(refine_python, (int, float)) and refine_python > 0
-        assert isinstance(refine_jit, (int, float)) and refine_jit > 0
-        assert 5.0 * refine_jit <= refine_python, (
-            f"jitted refine ({refine_jit}s) lost its 5x margin over the "
-            f"python loops ({refine_python}s)"
-        )
-
     def test_snapshot_windowed_memory_within_budget_and_sublinear(self):
         """The 1M-row windowed run must stay in its memory budget.
 
@@ -225,24 +206,6 @@ class TestCommittedSnapshot:
         assert isinstance(frag, (int, float))
         assert 0.0 <= frag <= 1.0, frag
 
-    def test_snapshot_arrow_ingest_holds_3x_over_streamed(self):
-        """The arrow columnar decode must stay >= 3x faster than the
-        python streamed path at 1M rows (recorded only when the
-        snapshot was taken with pyarrow installed)."""
-        baseline = load_baseline(BASELINE_PATH)
-        streamed_1m = baseline.get("ingest_seconds_streamed_1m")
-        arrow_1m = baseline.get("ingest_seconds_arrow_1m")
-        if streamed_1m is None or arrow_1m is None:
-            pytest.skip("snapshot predates (or lacks pyarrow for) the "
-                        "arrow ingest entry")
-        assert isinstance(streamed_1m, (int, float)) and streamed_1m > 0
-        assert isinstance(arrow_1m, (int, float)) and arrow_1m > 0
-        assert 3.0 * arrow_1m <= streamed_1m, (
-            f"arrow 1M ingest ({arrow_1m}s) lost its 3x margin over the "
-            f"python streamed path ({streamed_1m}s)"
-        )
-
-
 class TestPerfSmokeGate:
     """The actual gate — runs the smoke grid + scaled microbench."""
 
@@ -258,43 +221,9 @@ class TestPerfSmokeGate:
         baseline = load_baseline(BASELINE_PATH)
         if baseline.get("refine_seconds_python") is None:
             pytest.skip("snapshot predates the refine entries")
-        measured = {
-            "refine_seconds_python": refine_microbench(compiled=False)
-        }
+        measured = {"refine_seconds_python": refine_microbench()}
         violations = check_against_baseline(measured, baseline, threshold=3.0)
         assert not violations, "; ".join(violations)
-
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_live_jit_refine_holds_3x_over_python(self):
-        """With numba present, the kernels must actually be fast.
-
-        The committed snapshot enforces the full 5x margin on the
-        recording machine; live CI uses 3x so the gate holds across
-        slower runners without flapping.
-        """
-        refine_python = refine_microbench(compiled=False)
-        refine_jit = refine_microbench(compiled=True)
-        assert 3.0 * refine_jit <= refine_python, (
-            f"jitted refine ({refine_jit:.3f}s) is not >= 3x faster than "
-            f"the python loops ({refine_python:.3f}s)"
-        )
-
-    @pytest.mark.skipif(not PYARROW_AVAILABLE, reason="pyarrow not installed")
-    def test_live_arrow_ingest_holds_2x_over_streamed(self, tmp_path):
-        """With pyarrow present, the columnar decode must actually be
-        fast — 2x at 1/10 scale (fixed per-file overhead weighs heavier
-        on 100k rows than on the snapshot's 1M)."""
-        path = tmp_path / "ingest_arrow_gate.csv"
-        streamed = ingest_microbench(
-            n_rows=int(1_000_000 * INGEST_SCALE), mode="streamed", path=path
-        )
-        arrow = ingest_microbench(
-            n_rows=int(1_000_000 * INGEST_SCALE), mode="arrow", path=path
-        )
-        assert 2.0 * arrow <= streamed, (
-            f"arrow ingest ({arrow:.3f}s) is not >= 2x faster than the "
-            f"python streamed path ({streamed:.3f}s) at 100k rows"
-        )
 
     def test_executor_kernel_within_3x_of_snapshot(self):
         baseline = load_baseline(BASELINE_PATH)

@@ -59,7 +59,7 @@ def _write_csv(tmp_path, config, name="trace.csv"):
 
 def _records(path, config):
     run = StreamingSimulation(
-        CsvTraceSource(path, chunk_rows=599, decoder="python"),
+        CsvTraceSource(path, chunk_rows=599),
         HashAllocator(),
         config,
     ).run()
@@ -118,7 +118,7 @@ class TestBuildAndLoad:
         index = build_sizing_index(path)
         for headroom in (0.0, 0.25):
             accumulator = ObservedFundingAccumulator(headroom=headroom)
-            source = CsvTraceSource(path, chunk_rows=733, decoder="python")
+            source = CsvTraceSource(path, chunk_rows=733)
             for chunk in source.chunks():
                 accumulator.add(chunk)
             expected = accumulator.finalise(index.n_accounts)
@@ -217,7 +217,7 @@ class TestEnginePlugIn:
                 type(self).passes += 1
                 yield from super().chunks()
 
-        source = CountingSource(path, chunk_rows=599, decoder="python")
+        source = CountingSource(path, chunk_rows=599)
         StreamingSimulation(source, HashAllocator(), self._config()).run()
         assert CountingSource.passes == 1
 

@@ -112,7 +112,7 @@ class TestWindowedEquivalence:
         write_transactions_csv(path, generate_ethereum_like_trace(PLAIN_CONFIG))
         config = SimulationConfig(params=params())
         streamed = StreamingSimulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python"),
+            CsvTraceSource(path, chunk_rows=599),
             HashAllocator(),
             config,
         ).run()
@@ -120,7 +120,7 @@ class TestWindowedEquivalence:
         # ids are registry-assigned in first-seen order, so only another
         # decode of the same file shares the id space.
         materialised = Simulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python").materialise(),
+            CsvTraceSource(path, chunk_rows=599).materialise(),
             HashAllocator(),
             config,
         ).run()
@@ -154,12 +154,12 @@ class TestWindowedEquivalence:
             funding="observed",
         )
         streamed = StreamingSimulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python"),
+            CsvTraceSource(path, chunk_rows=599),
             HashAllocator(),
             config,
         ).run()
         materialised = Simulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python").materialise(),
+            CsvTraceSource(path, chunk_rows=599).materialise(),
             HashAllocator(),
             config,
         ).run()
@@ -185,12 +185,12 @@ class TestWindowedEquivalence:
             funding="observed",
         )
         streamed = StreamingSimulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python"),
+            CsvTraceSource(path, chunk_rows=599),
             HashAllocator(),
             config,
         ).run()
         materialised = Simulation(
-            CsvTraceSource(path, chunk_rows=599, decoder="python").materialise(),
+            CsvTraceSource(path, chunk_rows=599).materialise(),
             HashAllocator(),
             config,
         ).run()
@@ -334,19 +334,3 @@ class TestSourceProtocol:
             FollowCsvTraceSource(path, poll_interval=0.0)
         with pytest.raises(DataError):
             FollowCsvTraceSource(path, idle_timeout=0.0)
-
-    def test_follow_source_is_python_decoder_only(self, tmp_path):
-        """Tailing is line-oriented, so the arrow record-batch decoder
-        is a configuration error — typed, not a silent fallback."""
-        from repro.errors import ConfigurationError
-
-        path = tmp_path / "x.csv"
-        path.write_text("hash,from_address,to_address,block_number\n")
-        with pytest.raises(ConfigurationError, match="python reference"):
-            FollowCsvTraceSource(path, decoder="arrow")
-        with pytest.raises(DataError, match="decoder must be one of"):
-            FollowCsvTraceSource(path, decoder="carrier-pigeon")
-        # The python and auto decoders both resolve to the reference
-        # loop and are accepted.
-        assert FollowCsvTraceSource(path, decoder="python").decoder == "python"
-        assert FollowCsvTraceSource(path).decoder == "auto"
