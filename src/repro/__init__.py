@@ -86,7 +86,6 @@ from repro.data import (
     GeneratorTraceSource,
     CsvTraceSource,
     EpochStream,
-    stream_epochs,
 )
 from repro.sim import (
     Simulation,
@@ -157,7 +156,6 @@ __all__ = [
     "GeneratorTraceSource",
     "CsvTraceSource",
     "EpochStream",
-    "stream_epochs",
     "Simulation",
     "SimulationConfig",
     "SimulationResult",

@@ -27,7 +27,7 @@ from repro.chain.params import ProtocolParams
 from repro.data.ethereum import EthereumTraceConfig, generate_ethereum_like_trace
 from repro.data.etl import read_transactions_csv, write_transactions_csv
 from repro.errors import ReproError
-from repro.sim.engine import Simulation, SimulationConfig
+from repro.sim.engine import Simulation, SimulationConfig, StreamingSimulation
 from repro.sim.recorder import summarize_results
 from repro.sim.scenario import DEFAULT_METHODS, SCENARIOS, get_scenario, run_comparison
 from repro.util.formatting import format_bytes, format_seconds, render_table
@@ -136,7 +136,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
     if args.follow:
         from repro.data.source import FollowCsvTraceSource
-        from repro.sim.engine import StreamingSimulation
 
         source = FollowCsvTraceSource(
             args.input,
@@ -158,36 +157,17 @@ def _command_simulate(args: argparse.Namespace) -> int:
         result = StreamingSimulation(
             source, factory(), config, on_record=_live
         ).run()
-    elif args.windowed:
-        from repro.sim.engine import StreamingSimulation
+    elif args.windowed and args.input:
+        from repro.data.source import CsvTraceSource
 
-        if args.input:
-            from repro.data.source import CsvTraceSource
-
-            source = CsvTraceSource(args.input)
-            print(f"windowed replay of {args.input} (chunked decode)")
-        else:
-            from repro.data.source import GeneratorTraceSource
-
-            source = GeneratorTraceSource(_trace_config(args))
-            print("windowed replay of the synthetic trace")
-        result = StreamingSimulation(source, factory(), config).run()
+        print(f"windowed replay of {args.input} (chunked decode)")
+        result = StreamingSimulation(
+            CsvTraceSource(args.input), factory(), config
+        ).run()
     else:
         if args.input:
-            if args.streamed:
-                from repro.data.source import CsvTraceSource
-
-                source = CsvTraceSource(args.input)
-                trace = source.materialise()
-                print(
-                    f"streamed {len(trace):,} transactions from {args.input} "
-                    f"(peak buffer {source.peak_buffer_rows:,} rows)"
-                )
-            else:
-                trace, _registry = read_transactions_csv(args.input)
-                print(
-                    f"loaded {len(trace):,} transactions from {args.input}"
-                )
+            trace, _registry = read_transactions_csv(args.input)
+            print(f"loaded {len(trace):,} transactions from {args.input}")
         else:
             trace = generate_ethereum_like_trace(_trace_config(args))
             print(f"generated {len(trace):,} synthetic transactions")
@@ -681,16 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
         "degraded lossy WAN with drops/partitions/duplicates",
     )
     simulate.add_argument(
-        "--streamed",
-        action="store_true",
-        help="decode --input through the chunked bounded-memory "
-        "CsvTraceSource instead of the eager reader",
-    )
-    simulate.add_argument(
         "--windowed",
         action="store_true",
-        help="run the O(window) streaming engine instead of "
-        "materialising the trace (bit-identical results)",
+        help="stream --input through the chunked CsvTraceSource instead "
+        "of loading it whole (O(window) memory, bit-identical results)",
     )
     simulate.add_argument(
         "--history-epochs",

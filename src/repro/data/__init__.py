@@ -24,7 +24,6 @@ from repro.data.source import (
     GeneratorTraceSource,
     MaterialisedTraceSource,
     TraceSource,
-    stream_epochs,
 )
 
 __all__ = [
@@ -49,5 +48,4 @@ __all__ = [
     "CsvTraceSource",
     "FollowCsvTraceSource",
     "EpochStream",
-    "stream_epochs",
 ]

@@ -533,9 +533,3 @@ class EpochStream:
                 return
         yield from emit_ready(final=True)
 
-
-def stream_epochs(
-    source: TraceSource, tau: int, max_epochs: Optional[int] = None
-) -> Iterator[EpochView]:
-    """Functional wrapper over :class:`EpochStream`."""
-    return iter(EpochStream(source, tau, max_epochs))

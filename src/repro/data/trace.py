@@ -53,18 +53,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.batch)
 
-    @classmethod
-    def from_source(cls, source: "TraceSource") -> "Trace":  # noqa: F821
-        """Materialise a :class:`~repro.data.source.TraceSource`.
-
-        A trace is a thin materialised view over a source: this is the
-        bridge that lets every existing ``Trace`` consumer accept
-        streamed input (chunked CSV decode, generator output) without
-        change. Streaming consumers use
-        :class:`~repro.data.source.EpochStream` instead.
-        """
-        return source.materialise()
-
     @property
     def first_block(self) -> int:
         """Block number of the first transaction (0 when empty)."""

@@ -72,9 +72,9 @@ def run_cell(cell: MatrixCell) -> SimulationResult:
 
     This is the single execution path shared by the sequential runner,
     the process-pool workers and the benchmark suite's simulation cache.
-    Windowed cells run through :class:`StreamingSimulation` over the
-    spec's chunked source instead of a materialised trace; results are
-    bit-identical (the digest-equality CI check rests on this).
+    Windowed cells stream the spec's chunked source; the others hand
+    the same engine front end the cached materialised trace. Results
+    are bit-identical (the digest-equality CI check rests on this).
     """
     allocator = cell.build_allocator()
     config = cell.simulation_config()

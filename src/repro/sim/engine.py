@@ -16,10 +16,15 @@ Protocol per evaluation epoch ``t``:
    ``lookahead`` mode (the paper's setup) or the current epoch's batch
    in ``trailing`` mode (ablation).
 
-The loop is columnar end to end: every epoch is a
-:class:`TransactionBatch` view over the trace's arrays, metrics run
-through the fused numpy kernels, and no per-transaction Python object
-is ever materialised on this path.
+One front end runs this protocol: :class:`StreamingSimulation` over a
+:class:`~repro.data.source.TraceSource`, consuming epochs through a
+two-view window (current epoch + lookahead mempool).
+:class:`Simulation` is the same front end over an in-memory trace as a
+single chunk. The loop is columnar end to end: every epoch is a
+:class:`TransactionBatch` slice of the source's chunks (a view of the
+trace's arrays when it is in memory), metrics run through the fused
+numpy kernels, and no per-transaction Python object is ever
+materialised on this path.
 
 **Unified execution.** With ``execute_values=True`` the same loop also
 drives the chain substrate: a :class:`~repro.chain.ledger.Ledger` with
@@ -421,13 +426,12 @@ class ExecutionSubstrate:
     with per-shard state stores, genesis-funded either with a uniform
     supply (the legacy default) or with caller-supplied per-account
     balances (``funding_balances`` — the engine derives them from the
-    trace's observed value flow in ``funding="observed"`` mode, eagerly
-    or through the streaming accumulator). The substrate keeps its
-    *own* mapping object — synchronised to the engine's
+    trace's observed value flow in ``funding="observed"`` mode, through
+    the streaming accumulator or a sizing sidecar). The substrate keeps
+    its *own* mapping object — synchronised to the engine's
     value-for-value — so the metrics path's object flow (and thus its
     numbers) is untouched by execution. It needs only the universe
-    *size*, never a materialised trace, which is what lets the windowed
-    streaming engine drive it.
+    *size*, never a materialised trace.
     """
 
     def __init__(
@@ -613,16 +617,14 @@ def _run_epoch_loop(
     on_record: Optional[Callable[[EpochRecord], None]] = None,
     allow_growth: bool = False,
 ) -> None:
-    """The windowed evaluation loop shared by both engine front ends.
+    """The windowed evaluation loop of the engine front end.
 
-    Consumes epoch views from any iterable — a :class:`Trace.epochs`
-    generator or an :class:`~repro.data.source.EpochStream` — holding
-    exactly two views at a time (current + lookahead), so memory is
-    O(window) regardless of horizon. The per-epoch protocol is
-    byte-for-byte the historic materialised loop: empty views are
-    skipped for processing but still occupy lookahead positions, and
-    the lookahead mempool is the *next view's batch object*, empty or
-    not, exactly as ``epoch_views[position + 1].batch`` used to be.
+    Consumes epoch views from any iterable (the front end passes an
+    :class:`~repro.data.source.EpochStream`), holding exactly two views
+    at a time (current + lookahead), so memory is O(window) regardless
+    of horizon. Empty views are skipped for processing but still occupy
+    lookahead positions: the lookahead mempool is the *next view's
+    batch object*, empty or not.
 
     ``allow_growth`` (unbounded follow runs only) extends ``phi`` and
     the seen-set when a window references accounts beyond the current
@@ -780,98 +782,22 @@ def _initial_mapping(
     return mapping
 
 
-class Simulation:
-    """Drives one allocator over one trace under one configuration."""
-
-    def __init__(
-        self,
-        trace: Trace,
-        allocator: Allocator,
-        config: SimulationConfig,
-    ) -> None:
-        self.trace = trace
-        self.allocator = allocator
-        self.config = config
-        #: The chain substrate of the last ``execute_values`` run
-        #: (None before run() or in metrics-only mode) — exposed for
-        #: conservation checks and state inspection.
-        self.substrate: Optional[ExecutionSubstrate] = None
-
-    def run(self) -> SimulationResult:
-        """Execute the full evaluation protocol; return the result.
-
-        The evaluation segment feeds the windowed epoch loop straight
-        from the :meth:`Trace.epochs` generator — epochs are never
-        materialised as a list, so the loop's working set is two epoch
-        views even on a materialised trace.
-        """
-        params = self.config.params
-        if self.config.history_epochs is not None:
-            history, evaluation = self.trace.split_epochs(
-                params.tau, self.config.history_epochs
-            )
-        else:
-            history, evaluation = self.trace.split(
-                self.config.resolved_history_fraction
-            )
-
-        mapping = _initial_mapping(
-            self.allocator, history, params, self.trace.n_accounts
-        )
-
-        substrate: Optional[ExecutionSubstrate] = None
-        if self.config.execute_values:
-            funding = None
-            if self.config.funding == FUNDING_OBSERVED:
-                from repro.chain.economics import observed_funding_balances
-
-                funding = observed_funding_balances(
-                    self.trace.batch,
-                    self.trace.n_accounts,
-                    headroom=self.config.funding_headroom,
-                )
-            substrate = ExecutionSubstrate(
-                self.trace.n_accounts, mapping, self.config, funding
-            )
-            self.substrate = substrate
-
-        seen = np.zeros(self.trace.n_accounts, dtype=bool)
-        seen[history.active_accounts()] = True
-
-        result = SimulationResult(
-            allocator_name=self.allocator.name,
-            params=params,
-            execute_values=self.config.execute_values,
-            network=self.config.network,
-        )
-        state = _LoopState(mapping=mapping, seen=seen)
-        _run_epoch_loop(
-            evaluation.epochs(params.tau, self.config.max_epochs),
-            state,
-            self.allocator,
-            self.config,
-            substrate,
-            result,
-        )
-        return result
-
-
 def _normalised_chunks(
-    chunks: "Iterator[TransactionBatch]", values_present: bool
+    chunks: "Iterator[TransactionBatch]",
 ) -> "Iterator[TransactionBatch]":
     """Re-materialise lazily-skipped zero values on a chunk stream.
 
     Streamed CSV decode activates the value column only at the first
     nonzero value, so chunks before that point are valueless even when
     the materialised trace carries the column (with literal zeros).
-    When the sizing pass resolved that values exist, this wrapper
-    restores the column on every chunk — making the second pass's
-    history and epoch batches column-identical to the materialised
-    split, which executed replays require (a valueless batch transfers
-    the default amount, not 0.0).
+    When sizing resolved that values exist, this wrapper restores the
+    column on every chunk — making the second pass's history and epoch
+    batches column-identical to the materialised split, which executed
+    replays require (a valueless batch transfers the default amount,
+    not 0.0).
     """
     for chunk in chunks:
-        if values_present and chunk.values is None and len(chunk):
+        if chunk.values is None and len(chunk):
             chunk = TransactionBatch(
                 chunk.senders,
                 chunk.receivers,
@@ -945,31 +871,37 @@ def _consume_history_epochs(
     return history, None
 
 
+
+
 class StreamingSimulation:
-    """The windowed engine front end: runs the protocol off a source.
+    """The engine front end: runs the evaluation protocol off a source.
 
-    Drives the exact evaluation protocol of :class:`Simulation` without
-    ever materialising the trace, consuming epochs from
-    :class:`~repro.data.source.EpochStream` one window at a time. Three
-    ingest protocols, picked automatically:
+    Consumes epochs from :class:`~repro.data.source.EpochStream` one
+    window at a time, so the engine never needs the trace materialised.
+    What differs between sources is only how the run is sized before
+    the history split:
 
-    * **count-prefixed fast path** — the source knows its length up
-      front (:meth:`~repro.data.source.TraceSource.size_hint`): one
-      streaming pass, history split placed from the known count;
-    * **two-pass** — length unknown (CSV): a sizing pass counts rows,
-      resolves the account universe, and (in observed-funding mode)
-      accumulates genesis balances bit-identically to the eager
-      computation; the second pass re-streams through the history split
-      into the epoch loop;
-    * **unbounded** — the source never ends
-      (:class:`~repro.data.source.FollowCsvTraceSource`): no sizing
-      pass is possible, so the run requires the absolute
-      ``history_epochs`` split and metrics-only execution; the account
-      universe grows as new ids appear.
+    * **size hint** — the source knows its length up front
+      (:meth:`~repro.data.source.TraceSource.size_hint`): one pass, the
+      history split placed from the known count (observed funding
+      still takes the sizing pass);
+    * **sizing sidecar** — a persisted
+      :meth:`~repro.data.source.TraceSource.sizing_index` answers the
+      same questions, funding included;
+    * **sizing pass** — otherwise (CSV): one pass counts rows, resolves
+      the account universe, and (in observed-funding mode) accumulates
+      genesis balances bit-identically to the eager computation; the
+      second pass re-streams through the history split into the epoch
+      loop;
+    * **none** — the source never ends
+      (:class:`~repro.data.source.FollowCsvTraceSource`): the run
+      requires the absolute ``history_epochs`` split and metrics-only
+      execution, and the account universe grows as new ids appear.
 
-    Equivalence with ``Simulation(trace.materialise(), ...)`` is
-    bit-exact — same epoch records, mapping trajectory, and (executed
-    mode) settlement order — and pinned by ``tests/test_streaming_engine.py``.
+    Records, mapping trajectory and (executed mode) settlement order
+    are bit-identical to the materialised reference in
+    ``tests/oracles/materialised_engine.py`` for every source kind and
+    chunking, pinned by ``tests/test_streaming_engine.py``.
     ``on_record`` fires after each epoch record (live progress for
     ``--follow``).
     """
@@ -985,70 +917,43 @@ class StreamingSimulation:
         self.allocator = allocator
         self.config = config
         self.on_record = on_record
+        #: The chain substrate of the last ``execute_values`` run
+        #: (None before run() or in metrics-only mode) — exposed for
+        #: conservation checks and state inspection.
         self.substrate: Optional[ExecutionSubstrate] = None
 
     def run(self) -> SimulationResult:
-        """Stream the full evaluation protocol; return the result."""
-        if getattr(self.source, "unbounded", False):
-            return self._run_unbounded()
-        return self._run_bounded()
-
-    # -- bounded sources (fast path / two-pass) ---------------------------------
-
-    def _run_bounded(self) -> SimulationResult:
+        """Run the full evaluation protocol; return the result."""
         from itertools import chain as iter_chain
 
         from repro.data.source import ChunkIteratorSource, EpochStream
 
         config = self.config
         params = config.params
-        need_funding = (
-            config.execute_values and config.funding == FUNDING_OBSERVED
-        )
-        hint = self.source.size_hint()
+        unbounded = self.source.unbounded
+        total_rows: Optional[int] = None
+        n_accounts: Optional[int] = None
         funding: Optional[np.ndarray] = None
         values_present = False
-
-        if hint is not None and not need_funding:
-            total_rows, n_accounts = hint
-        else:
-            # A persisted sizing sidecar (repro generate --sizing-index)
-            # answers everything the sizing pass would — row count,
-            # universe, canonical funding partials — so an indexed CSV
-            # replay is one-pass. Stale sidecars raise SizingIndexError
-            # inside sizing_index(); missing ones return None.
-            index = self.source.sizing_index()
-            if index is not None:
-                total_rows = index.n_rows
-                n_accounts = index.n_accounts
-                values_present = index.values_present
-                if need_funding:
-                    funding = index.funding_balances(
-                        n_accounts, config.funding_headroom
-                    )
-            else:
-                # Sizing pass: count rows, resolve the account universe,
-                # and accumulate observed funding in canonical chunk order.
-                from repro.chain.economics import ObservedFundingAccumulator
-
-                accumulator = ObservedFundingAccumulator(
-                    headroom=config.funding_headroom
+        if unbounded:
+            if config.history_epochs is None:
+                raise SimulationError(
+                    f"source {self.source.name!r} is unbounded: a fractional "
+                    "history split needs the total row count; set "
+                    "history_epochs to place the split absolutely"
                 )
-                for chunk in self.source.chunks():
-                    accumulator.add(chunk)
-                    if chunk.values is not None:
-                        values_present = True
-                total_rows = accumulator.rows
-                resolved = self.source.resolved_n_accounts()
-                if resolved is None:
-                    resolved = accumulator.max_account_id + 1
-                n_accounts = max(int(resolved), 0)
-                if need_funding:
-                    funding = accumulator.finalise(n_accounts)
+            if config.execute_values:
+                raise SimulationError(
+                    f"source {self.source.name!r} is unbounded: value "
+                    "execution needs genesis funding over a closed account "
+                    "universe; follow runs are metrics-only"
+                )
+        else:
+            total_rows, n_accounts, funding, values_present = self._size()
 
         chunks = iter(self.source.chunks())
         if values_present:
-            chunks = _normalised_chunks(chunks, values_present=True)
+            chunks = _normalised_chunks(chunks)
         if config.history_epochs is not None:
             history_chunks, leftover = _consume_history_epochs(
                 chunks, params.tau, config.history_epochs
@@ -1058,12 +963,12 @@ class StreamingSimulation:
             cut = max(0, min(total_rows, cut))
             history_chunks, leftover = _consume_history_fraction(chunks, cut)
 
-        history_batch = (
-            TransactionBatch.concat_many(history_chunks)
-            if history_chunks
-            else TransactionBatch.empty()
+        # An unbounded run's universe is whatever history has shown so
+        # far; the loop grows it as later windows reference new ids.
+        history = Trace(
+            TransactionBatch.concat_many(history_chunks), n_accounts=n_accounts
         )
-        history = Trace(history_batch, n_accounts=n_accounts)
+        n_accounts = history.n_accounts
         mapping = _initial_mapping(self.allocator, history, params, n_accounts)
 
         substrate: Optional[ExecutionSubstrate] = None
@@ -1071,7 +976,7 @@ class StreamingSimulation:
             substrate = ExecutionSubstrate(n_accounts, mapping, config, funding)
             self.substrate = substrate
 
-        seen = np.zeros(n_accounts, dtype=bool)
+        seen = np.zeros(mapping.n_accounts, dtype=bool)
         seen[history.active_accounts()] = True
 
         remainder = iter_chain(
@@ -1091,83 +996,84 @@ class StreamingSimulation:
             execute_values=config.execute_values,
             network=config.network,
         )
-        state = _LoopState(mapping=mapping, seen=seen)
         _run_epoch_loop(
             evaluation,
-            state,
+            _LoopState(mapping=mapping, seen=seen),
             self.allocator,
             config,
             substrate,
             result,
             on_record=self.on_record,
+            allow_growth=unbounded,
         )
         return result
 
-    # -- unbounded sources (follow mode) ----------------------------------------
+    def _size(self) -> "Tuple[int, int, Optional[np.ndarray], bool]":
+        """Size a bounded source before its history split.
 
-    def _run_unbounded(self) -> SimulationResult:
-        from itertools import chain as iter_chain
-
-        from repro.data.source import ChunkIteratorSource, EpochStream
-
+        Returns ``(total_rows, n_accounts, funding, values_present)``;
+        ``funding`` is None unless the run needs observed funding, and
+        ``values_present`` is True only when the chunks must be
+        normalised to the materialised trace's value column.
+        """
         config = self.config
-        params = config.params
-        if config.history_epochs is None:
-            raise SimulationError(
-                f"source {self.source.name!r} is unbounded: a fractional "
-                "history split needs the total row count; set "
-                "history_epochs to place the split absolutely"
+        need_funding = (
+            config.execute_values and config.funding == FUNDING_OBSERVED
+        )
+        hint = self.source.size_hint()
+        if hint is not None and not need_funding:
+            total_rows, n_accounts = hint
+            return total_rows, n_accounts, None, False
+
+        # A persisted sizing sidecar (repro generate --sizing-index)
+        # answers everything the sizing pass would — row count,
+        # universe, canonical funding partials — so an indexed CSV
+        # replay is one-pass. Stale sidecars raise SizingIndexError
+        # inside sizing_index(); missing ones return None.
+        index = self.source.sizing_index()
+        if index is not None:
+            funding = (
+                index.funding_balances(index.n_accounts, config.funding_headroom)
+                if need_funding
+                else None
             )
-        if config.execute_values:
-            raise SimulationError(
-                f"source {self.source.name!r} is unbounded: value "
-                "execution needs genesis funding over a closed account "
-                "universe; follow runs are metrics-only"
-            )
+            return index.n_rows, index.n_accounts, funding, index.values_present
 
-        chunks = iter(self.source.chunks())
-        history_chunks, leftover = _consume_history_epochs(
-            chunks, params.tau, config.history_epochs
-        )
-        history_batch = (
-            TransactionBatch.concat_many(history_chunks)
-            if history_chunks
-            else TransactionBatch.empty()
-        )
-        # The universe is whatever history has shown so far; the loop
-        # grows it as later windows reference new ids.
-        history = Trace(history_batch)
-        n_accounts = history.n_accounts
-        mapping = _initial_mapping(self.allocator, history, params, n_accounts)
+        # Sizing pass: count rows, resolve the account universe, and
+        # accumulate observed funding in canonical chunk order.
+        from repro.chain.economics import ObservedFundingAccumulator
 
-        seen = np.zeros(mapping.n_accounts, dtype=bool)
-        seen[history.active_accounts()] = True
+        accumulator = ObservedFundingAccumulator(
+            headroom=config.funding_headroom
+        )
+        values_present = False
+        for chunk in self.source.chunks():
+            accumulator.add(chunk)
+            if chunk.values is not None:
+                values_present = True
+        resolved = self.source.resolved_n_accounts()
+        if resolved is None:
+            resolved = accumulator.max_account_id + 1
+        n_accounts = max(int(resolved), 0)
+        funding = accumulator.finalise(n_accounts) if need_funding else None
+        return accumulator.rows, n_accounts, funding, values_present
 
-        remainder = iter_chain(
-            [leftover] if leftover is not None else [], chunks
-        )
-        evaluation = EpochStream(
-            ChunkIteratorSource(
-                remainder, n_accounts=n_accounts, name=self.source.name
-            ),
-            params.tau,
-            config.max_epochs,
-        )
 
-        result = SimulationResult(
-            allocator_name=self.allocator.name,
-            params=params,
-            execute_values=False,
-        )
-        state = _LoopState(mapping=mapping, seen=seen)
-        _run_epoch_loop(
-            evaluation,
-            state,
-            self.allocator,
-            config,
-            None,
-            result,
-            on_record=self.on_record,
-            allow_growth=True,
-        )
-        return result
+class Simulation(StreamingSimulation):
+    """Drives one allocator over one in-memory trace.
+
+    The front end over the whole trace as a single chunk, so the
+    history and every epoch batch are numpy views of the trace's
+    columns — no row is copied.
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        allocator: Allocator,
+        config: SimulationConfig,
+    ) -> None:
+        from repro.data.source import MaterialisedTraceSource
+
+        source = MaterialisedTraceSource(trace, chunk_rows=max(len(trace), 1))
+        super().__init__(source, allocator, config)

@@ -105,6 +105,57 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "loaded" in out
 
+    def test_simulate_windowed_matches_eager_load(self, tmp_path, capsys):
+        csv_path = tmp_path / "trace.csv"
+        main(
+            [
+                "generate",
+                str(csv_path),
+                "--accounts",
+                "300",
+                "--transactions",
+                "2000",
+                "--blocks",
+                "300",
+                "--value-model",
+                "zipf",
+            ]
+        )
+        capsys.readouterr()
+        run = [
+            "simulate",
+            "--input",
+            str(csv_path),
+            "--tau",
+            "10",
+            "--shards",
+            "4",
+            "--method",
+            "mosaic-pilot",
+            "--execute",
+            "--funding",
+            "observed",
+        ]
+
+        def summary_rows(argv):
+            assert main(argv) == 0
+            table = capsys.readouterr().out.split("\n\n", 1)[1]
+            return [
+                line
+                for line in table.splitlines()
+                if not line.startswith("time per decision")
+            ]
+
+        eager = summary_rows(run)
+        assert any(line.startswith("transfers executed") for line in eager)
+        assert summary_rows(run + ["--windowed"]) == eager
+
+    def test_simulate_streamed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--streamed"])
+        assert excinfo.value.code == 2
+        assert "--streamed" in capsys.readouterr().err
+
     def test_simulate_unknown_method(self, capsys):
         code = main(["simulate", "--method", "nope"])
         assert code == 2

@@ -25,7 +25,6 @@ from repro.data import (
     ValueModelConfig,
     generate_ethereum_like_trace,
     read_transactions_csv,
-    stream_epochs,
     write_transactions_csv,
 )
 from repro.errors import DataError, MalformedRowError, ValidationError
@@ -81,7 +80,6 @@ class TestMaterialisedSource:
     def test_materialise_returns_the_same_trace(self):
         trace = generate_ethereum_like_trace(valued_config())
         assert MaterialisedTraceSource(trace).materialise() is trace
-        assert Trace.from_source(MaterialisedTraceSource(trace)) is trace
 
     def test_rejects_bad_chunk_rows(self):
         trace = generate_ethereum_like_trace(valued_config())
@@ -176,7 +174,7 @@ class TestCsvSource:
         eager, _ = read_transactions_csv(path)
         assert eager.batch.values is None
         streamed_epochs = list(
-            stream_epochs(CsvTraceSource(path, chunk_rows=64), tau=50)
+            EpochStream(CsvTraceSource(path, chunk_rows=64), tau=50)
         )
         for got, want in zip(streamed_epochs, eager.epoch_list(50)):
             assert_batches_equal(got.batch, want.batch)
@@ -284,7 +282,7 @@ class TestEpochStream:
             valued_config(n_transactions=1_200, n_blocks=200, seed=seed)
         )
         source = MaterialisedTraceSource(trace, chunk_rows=chunk_rows)
-        streamed = list(stream_epochs(source, tau, max_epochs))
+        streamed = list(EpochStream(source, tau, max_epochs))
         materialised = trace.epoch_list(tau, max_epochs)
         assert len(streamed) == len(materialised)
         for got, want in zip(streamed, materialised):
@@ -322,13 +320,13 @@ class TestEpochStream:
                     yield chunk
 
         source = CountingSource(trace, chunk_rows=50)
-        epochs = list(stream_epochs(source, tau=10, max_epochs=2))
+        epochs = list(EpochStream(source, tau=10, max_epochs=2))
         assert [e.index for e in epochs] == [0, 1]
         assert sum(pulled) < len(trace)  # the tail was never pulled
 
     def test_empty_source_yields_nothing(self):
         empty = Trace(TransactionBatch.empty(), n_accounts=1)
-        assert list(stream_epochs(MaterialisedTraceSource(empty), 10)) == []
+        assert list(EpochStream(MaterialisedTraceSource(empty), 10)) == []
 
     def test_rejects_bad_parameters(self):
         trace = Trace(TransactionBatch.empty(), n_accounts=1)
@@ -344,7 +342,7 @@ class TestEpochStream:
         write_transactions_csv(path, trace)
         eager, _ = read_transactions_csv(path)
         streamed = list(
-            stream_epochs(CsvTraceSource(path, chunk_rows=211), tau=25)
+            EpochStream(CsvTraceSource(path, chunk_rows=211), tau=25)
         )
         for got, want in zip(streamed, eager.epoch_list(25)):
             assert_batches_equal(got.batch, want.batch)

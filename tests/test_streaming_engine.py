@@ -1,18 +1,23 @@
-"""The windowed streaming engine's equivalence and protocol tests.
+"""The engine front end's equivalence and protocol tests.
 
-The contract under test: ``StreamingSimulation(source, ...)`` produces
-**bit-identical** epoch records to ``Simulation(materialised trace,
-...)`` for every bounded source kind and engine mode — the windowed
-engine is a memory-shape change, never a results change. The unbounded
-(follow) protocol additionally pins its typed preconditions and its
-determinism across live-tail and static replays.
+The contract under test: ``StreamingSimulation(source, ...)`` — and so
+``Simulation(trace, ...)``, the same front end over a one-chunk source
+— produces **bit-identical** epoch records and state roots to the
+materialised reference in ``tests/oracles/materialised_engine.py`` for
+every bounded source kind, chunking, history split and engine mode:
+how the trace arrives is a memory-shape change, never a results
+change. The unbounded (follow) protocol additionally pins its typed
+preconditions and its determinism across live-tail and static replays.
 """
 
 import threading
 import time
+from dataclasses import asdict
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.materialised_engine import MaterialisedSimulation
 
 from repro.allocation.hash_based import HashAllocator
 from repro.allocation.metis_like import MetisLikeAllocator
@@ -33,23 +38,9 @@ from repro.data.source import (
 from repro.errors import DataError, SimulationError
 from repro.sim.engine import Simulation, SimulationConfig, StreamingSimulation
 
-#: Every deterministic EpochRecord field — everything but the two
-#: wall-clock measurements (execution_time, unit_time).
-RECORD_FIELDS = (
-    "epoch",
-    "transactions",
-    "cross_shard_ratio",
-    "workload_deviation",
-    "normalized_throughput",
-    "input_bytes",
-    "migrations",
-    "proposed_migrations",
-    "new_accounts",
-    "executed_transactions",
-    "settled_volume",
-    "in_flight_receipts",
-    "overdraft_aborts",
-)
+#: Epoch-record fields timed on the host; every other field is
+#: deterministic and compared.
+HOST_TIMED_FIELDS = ("execution_time", "unit_time")
 
 PLAIN_CONFIG = EthereumTraceConfig(
     n_accounts=400, n_transactions=5_000, n_blocks=400, seed=23
@@ -69,16 +60,28 @@ def params(**overrides):
     return ProtocolParams(**defaults)
 
 
+def deterministic_fields(record):
+    row = asdict(record)
+    for name in HOST_TIMED_FIELDS:
+        del row[name]
+    return row
+
+
 def assert_identical_records(streamed, materialised):
     """Bit-exact equality on every deterministic record field."""
     assert streamed.records, "run produced no epochs"
     assert len(streamed.records) == len(materialised.records)
     for left, right in zip(streamed.records, materialised.records):
-        for name in RECORD_FIELDS:
-            assert getattr(left, name) == getattr(right, name), (
-                name,
-                left.epoch,
-            )
+        assert deterministic_fields(left) == deterministic_fields(right), (
+            left.epoch
+        )
+
+
+def state_roots(engine):
+    """Per-shard state roots of an executed run's substrate."""
+    registry = engine.substrate.registry
+    k = engine.config.params.k
+    return [registry.store_of(shard).state_root() for shard in range(k)]
 
 
 class TestWindowedEquivalence:
@@ -90,7 +93,9 @@ class TestWindowedEquivalence:
             HashAllocator(),
             config,
         ).run()
-        materialised = Simulation(trace, HashAllocator(), config).run()
+        materialised = MaterialisedSimulation(
+            trace, HashAllocator(), config
+        ).run()
         assert_identical_records(streamed, materialised)
 
     def test_generator_source(self):
@@ -100,7 +105,7 @@ class TestWindowedEquivalence:
             MetisLikeAllocator(seed=7),
             config,
         ).run()
-        materialised = Simulation(
+        materialised = MaterialisedSimulation(
             generate_ethereum_like_trace(PLAIN_CONFIG),
             MetisLikeAllocator(seed=7),
             config,
@@ -119,7 +124,7 @@ class TestWindowedEquivalence:
         # The reference materialises the *same* source kind: CSV account
         # ids are registry-assigned in first-seen order, so only another
         # decode of the same file shares the id space.
-        materialised = Simulation(
+        materialised = MaterialisedSimulation(
             CsvTraceSource(path, chunk_rows=599).materialise(),
             HashAllocator(),
             config,
@@ -134,7 +139,9 @@ class TestWindowedEquivalence:
             HashAllocator(),
             config,
         ).run()
-        materialised = Simulation(trace, HashAllocator(), config).run()
+        materialised = MaterialisedSimulation(
+            trace, HashAllocator(), config
+        ).run()
         assert_identical_records(streamed, materialised)
         # The absolute split actually moved: 3 history epochs leave more
         # evaluation epochs than the default 90% fraction does.
@@ -158,7 +165,7 @@ class TestWindowedEquivalence:
             HashAllocator(),
             config,
         ).run()
-        materialised = Simulation(
+        materialised = MaterialisedSimulation(
             CsvTraceSource(path, chunk_rows=599).materialise(),
             HashAllocator(),
             config,
@@ -189,7 +196,7 @@ class TestWindowedEquivalence:
             HashAllocator(),
             config,
         ).run()
-        materialised = Simulation(
+        materialised = MaterialisedSimulation(
             CsvTraceSource(path, chunk_rows=599).materialise(),
             HashAllocator(),
             config,
@@ -210,6 +217,72 @@ class TestWindowedEquivalence:
         assert_identical_records(spilled, in_memory)
         assert any(r.migrations for r in spilled.records)
         assert list(tmp_path.glob("seg-*.mrlog")), "no segments spilled"
+
+
+#: A small valued trace for the front-end property: 10 ``tau=20``
+#: epochs, small enough that one-row chunks stay fast.
+PROPERTY_TRACE = generate_ethereum_like_trace(
+    EthereumTraceConfig(
+        n_accounts=120,
+        n_transactions=900,
+        n_blocks=200,
+        seed=5,
+        value_model=ValueModelConfig(fee_fraction=0.02),
+    )
+)
+
+ENGINE_MODES = {
+    "metrics": {},
+    "executed-uniform": dict(execute_values=True, state_backend="dense"),
+    "executed-observed": dict(execute_values=True, funding="observed"),
+}
+
+HISTORY_SPLITS = st.one_of(
+    st.just({}),
+    st.sampled_from([0.0, 1.0]).map(lambda f: {"history_fraction": f}),
+    st.floats(0.0, 1.0).map(lambda f: {"history_fraction": f}),
+    st.integers(0, 12).map(lambda e: {"history_epochs": e}),
+)
+
+
+class TestFrontEndProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        chunk_rows=st.one_of(
+            st.just(len(PROPERTY_TRACE)), st.integers(1, len(PROPERTY_TRACE))
+        ),
+        split=HISTORY_SPLITS,
+        oracle_mode=st.sampled_from(["lookahead", "trailing"]),
+        max_epochs=st.one_of(st.none(), st.integers(1, 12)),
+        mode=st.sampled_from(sorted(ENGINE_MODES)),
+    )
+    def test_matches_materialised_oracle(
+        self, chunk_rows, split, oracle_mode, max_epochs, mode
+    ):
+        config = SimulationConfig(
+            params=params(tau=20),
+            oracle_mode=oracle_mode,
+            max_epochs=max_epochs,
+            **split,
+            **ENGINE_MODES[mode],
+        )
+        engine = StreamingSimulation(
+            MaterialisedTraceSource(PROPERTY_TRACE, chunk_rows=chunk_rows),
+            MetisLikeAllocator(seed=7),
+            config,
+        )
+        oracle = MaterialisedSimulation(
+            PROPERTY_TRACE, MetisLikeAllocator(seed=7), config
+        )
+        streamed = engine.run()
+        materialised = oracle.run()
+        assert [deterministic_fields(r) for r in streamed.records] == [
+            deterministic_fields(r) for r in materialised.records
+        ]
+        if config.execute_values:
+            assert state_roots(engine) == state_roots(oracle)
+        else:
+            assert engine.substrate is None
 
 
 class TestHistoryKnobs:
